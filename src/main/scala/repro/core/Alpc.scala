@@ -56,27 +56,28 @@ final case class AlpcConfig(
 final class AlpcScorer(val z: Tensor, head: Mlp, thHead: Option[Mlp],
                        structF: (Int, Int) => Array[Double],
                        acceptMargin: Double = 0.75) extends LinkScorer {
+  private val pairHead = new GnnTraining.PairHeadScorer(Some(z), head, Some(structF))
 
-  private def logit(u: Int, v: Int): Double = {
-    implicit val tape: Tape = new Tape
-    val in = Ad.concatCols(
-      GnnTraining.pairInput(Ad.const(z), Array(u), Array(v)),
-      Ad.const(Tensor.rowVec(structF(u, v))))
-    head.forward(in).v(0, 0)
-  }
+  def logits(pairs: Array[(Int, Int)]): Array[Double] = pairHead.logits(pairs)
 
-  def score(u: Int, v: Int): Double = 1.0 / (1.0 + math.exp(-logit(u, v)))
-
-  /** The learned per-source-entity threshold ε_u (0 when the head is off). */
-  def thresholdOf(u: Int): Double = thHead match {
+  /** The learned per-source-entity thresholds ε_u (0 when the head is off). */
+  def thresholdOf(us: Array[Int]): Array[Double] = thHead match {
     case Some(mlp) =>
       implicit val tape: Tape = new Tape
-      mlp.forward(Ad.const(Tensor.rowVec(z.row(u)))).v(0, 0)
-    case None => 0.0
+      mlp.forward(Ad.gatherRows(Ad.const(z), us)).v.data
+    case None => new Array[Double](us.length)
   }
 
+  def thresholdOf(u: Int): Double = thresholdOf(Array(u))(0)
+
   /** Paper's truncation rule with margin: keep (u,v) iff s_uv − ε_u > margin. */
-  def acceptAdaptive(u: Int, v: Int): Boolean = logit(u, v) - thresholdOf(u) > acceptMargin
+  def acceptAdaptive(pairs: Array[(Int, Int)]): Array[Boolean] = {
+    val s = logits(pairs)
+    val eps = thresholdOf(pairs.map(_._1))
+    Array.tabulate(pairs.length)(i => s(i) - eps(i) > acceptMargin)
+  }
+
+  def acceptAdaptive(u: Int, v: Int): Boolean = acceptAdaptive(Array((u, v)))(0)
 
   def embeddingOf(u: Int): Array[Double] = z.row(u)
 }
@@ -102,13 +103,10 @@ final class Alpc(cfg: AlpcConfig = AlpcConfig()) extends LinkPredictor {
 
   def fit(data: LinkPredData): AlpcScorer = {
     val rng = new Random(cfg.seed)
-    val feats = Tensor.fromRows(data.features.toIndexedSeq)
-    val enc = new GeniePathEncoder(feats.cols, cfg.dim, cfg.layers, cfg.k, rng)
+    val enc = new GeniePathEncoder(data.features.head.length, cfg.dim, cfg.layers, cfg.k, rng)
     val sf = GnnTraining.structFeatures(data.trainGraph) _
     val head = new Mlp(Seq(GnnTraining.pairInputDim(enc.outDim) + 4, cfg.dim, 1), rng, "alpc.head")
     val thHead = new Mlp(Seq(enc.outDim, cfg.dim / 2, 1), rng, "alpc.th")
-    val params = enc.params ++ head.params ++ (if (cfg.useThreshold) thHead.params else Seq.empty)
-    val opt = new Adam(params, cfg.lr)
 
     val us = data.trainPairs.map(_._1)
     val vs = data.trainPairs.map(_._2)
@@ -126,21 +124,19 @@ final class Alpc(cfg: AlpcConfig = AlpcConfig()) extends LinkPredictor {
     val thLabels = Array.fill(data.trainPos.length)(1.0) ++
       Array.fill(thPairs.length - data.trainPos.length)(0.0)
 
-    val structTrain = Tensor.fromRows(data.trainPairs.toIndexedSeq.map { case (u, v) => sf(u, v) })
-    val structTh = Tensor.fromRows(thPairs.toIndexedSeq.map { case (u, v) => sf(u, v) })
-    def headIn(z: Node, us: Array[Int], vs: Array[Int], struct: Tensor)(implicit t: Tape): Node =
-      Ad.concatCols(GnnTraining.pairInput(z, us, vs), Ad.const(struct))
+    val structTrain = Some(GnnTraining.featureRows(sf, data.trainPairs))
+    val structTh = Some(GnnTraining.featureRows(sf, thPairs))
 
-    var e = 0
-    while (e < cfg.epochs) {
-      implicit val tape: Tape = new Tape
-      val epochRng = new Random(cfg.seed + e)
-      val z = enc.forward(feats, data.trainGraph, epochRng)
-      val s = head.forward(headIn(z, us, vs, structTrain))
+    // the inference embedding averages three stochastic forwards so the
+    // frozen z is not hostage to one neighbour sample (absolute cuts like ε
+    // are sensitive to that shift even though rankings are not)
+    val z = GnnTraining.fitEncoder(enc, head.params ++ (if (cfg.useThreshold) thHead.params else Seq.empty),
+        data, cfg.lr, cfg.epochs, cfg.seed, inferenceSamples = 3) { (z, epochRng) => implicit tape =>
+      val s = head.forward(GnnTraining.headInput(Some(z), us, vs, structTrain))
       var loss = Ad.bceWithLogits(s, labels)
 
       if (cfg.useThreshold) {
-        val sTh = head.forward(headIn(z, thUs, thVs, structTh))
+        val sTh = head.forward(GnnTraining.headInput(Some(z), thUs, thVs, structTh))
         val eps = thHead.forward(Ad.gatherRows(z, thUs))
         val lTh = Ad.bceWithLogits(Ad.sub(sTh, eps), thLabels)
         loss = Ad.add(loss, Ad.scale(lTh, cfg.alpha))
@@ -155,23 +151,7 @@ final class Alpc(cfg: AlpcConfig = AlpcConfig()) extends LinkPredictor {
         val logits = Ad.scale(Ad.matmul(za, Ad.transpose(zp)), 1.0 / cfg.tau)
         loss = Ad.add(loss, Ad.scale(Ad.infoNceDiag(logits), cfg.beta))
       }
-
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
-    }
-
-    // inference embeddings: average several stochastic forwards so the frozen
-    // z is not hostage to one neighbour sample (absolute cuts like ε are
-    // sensitive to that shift even though rankings are not)
-    val z = {
-      val samples = (1 to 3).map { i =>
-        val t: Tape = new Tape
-        enc.forward(feats, data.trainGraph, new Random(cfg.seed - i))(t).v
-      }
-      val acc = samples.head.copy()
-      samples.tail.foreach(acc.addInPlace)
-      acc.scaleInPlace(1.0 / samples.length)
-      acc
+      loss
     }
     new AlpcScorer(z, head, if (cfg.useThreshold) Some(thHead) else None, sf, cfg.acceptMargin)
   }

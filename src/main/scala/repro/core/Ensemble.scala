@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.linkpred.{LinkPredData, LinkScorer}
+import repro.linkpred.{GnnTraining, LinkPredData, LinkScorer}
 import repro.nn._
 import scala.util.Random
 
@@ -25,19 +25,31 @@ final class EnsembleScorer(weekly: Seq[Tensor], mha: MultiHeadAttention, head: M
   /** Fused embedding h_e: the concatenation of the weekly z_e (eq. 6). */
   def fusedEmbedding(e: Int): Array[Double] = weekly.flatMap(_.row(e)).toArray
 
-  private def logit(u: Int, v: Int): Double = {
-    implicit val tape: Tape = new Tape
-    val tokens = (weekly.map(z => z.row(u)) ++ weekly.map(z => z.row(v))).toIndexedSeq
-    val x = Ad.const(Tensor.fromRows(tokens))
-    val structT = Tensor.fromRows(Seq(structF(u, v)))
-    head.forward(Ensemble.headInput(mha, x, 1, tokensPerPair, dim, structT)).v(0, 0)
-  }
+  def logits(pairs: Array[(Int, Int)]): Array[Double] =
+    if (pairs.isEmpty) Array.emptyDoubleArray
+    else {
+      implicit val tape: Tape = new Tape
+      val x = Ad.const(Ensemble.pairTokens(weekly, pairs))
+      head.forward(Ensemble.headInput(mha, x, pairs.length, tokensPerPair, dim,
+        GnnTraining.featureRows(structF, pairs))).v.data
+    }
 
-  def score(u: Int, v: Int): Double = 1.0 / (1.0 + math.exp(-logit(u, v)))
-  def accept(u: Int, v: Int): Boolean = logit(u, v) > acceptMargin
+  private def keeps(logit: Double): Boolean = logit > acceptMargin
+
+  /** Keep (u,v) iff its logit clears the margin. */
+  def accept(pairs: Array[(Int, Int)]): Array[Boolean] = logits(pairs).map(keeps)
+  def accept(u: Int, v: Int): Boolean = accept(Array((u, v)))(0)
+
+  /** The accepted pairs with their scores, one logit per pair. */
+  def accepted(pairs: Array[(Int, Int)]): Array[(Int, Int, Double)] =
+    pairs.zip(logits(pairs)).collect { case ((u, v), l) if keeps(l) => (u, v, LinkScorer.sigmoid(l)) }
 }
 
 object Ensemble {
+
+  /** Token rows of a batch: per pair [z_u^{t1} … z_u^{tW}, z_v^{t1} … z_v^{tW}]. */
+  private[core] def pairTokens(weekly: Seq[Tensor], pairs: Array[(Int, Int)]): Tensor =
+    Tensor.fromRows(pairs.toIndexedSeq.flatMap { case (u, v) => weekly.map(_.row(u)) ++ weekly.map(_.row(v)) })
 
   /** Head input for a batch: attended tokens flattened ‖ raw tokens flattened
     * (residual skip past the randomly-initialised attention) ‖ per-week
@@ -72,7 +84,6 @@ object Ensemble {
     val rng = new Random(cfg.seed)
     val mha = new MultiHeadAttention(dim, cfg.heads, rng, "ens.mha")
     val head = new Mlp(Seq(headInputDim(tokens, dim), dim, 1), rng, "ens.head")
-    val opt = new Adam(mha.params ++ head.params, cfg.lr)
 
     // class-balanced training pairs (the 0.5 accept cut assumes a balanced
     // prior; the raw 1:3 ratio would bias the classifier toward rejecting
@@ -84,20 +95,11 @@ object Ensemble {
     val pairs = sampled.map(_._1)
     val labels = sampled.map(_._2)
 
-    val xRows = pairs.toIndexedSeq.flatMap { case (u, v) =>
-      weeklyZ.map(z => z.row(u)) ++ weeklyZ.map(z => z.row(v))
-    }
-    val x = Tensor.fromRows(xRows)
-    val sf = repro.linkpred.GnnTraining.structFeatures(data.trainGraph) _
-    val structT = Tensor.fromRows(pairs.toIndexedSeq.map { case (u, v) => sf(u, v) })
-
-    var e = 0
-    while (e < cfg.epochs) {
-      implicit val tape: Tape = new Tape
-      val in = headInput(mha, Ad.const(x), pairs.length, tokens, dim, structT)
-      val loss = Ad.bceWithLogits(head.forward(in), labels)
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
+    val x = pairTokens(weeklyZ, pairs)
+    val sf = GnnTraining.structFeatures(data.trainGraph) _
+    val structT = GnnTraining.featureRows(sf, pairs)
+    GnnTraining.train(mha.params ++ head.params, cfg.lr, cfg.epochs) { _ => implicit tape =>
+      Ad.bceWithLogits(head.forward(headInput(mha, Ad.const(x), pairs.length, tokens, dim, structT)), labels)
     }
     new EnsembleScorer(weeklyZ, mha, head, tokens, sf, cfg.acceptMargin)
   }

@@ -103,10 +103,10 @@ object Trmp {
   def stageRelations(wr: WeeklyRun, ensemble: Option[EnsembleScorer]): Map[String, Array[(Int, Int)]] = {
     val candPairs = wr.candidateEdges.select("src", "dst").collect()
       .map(r => (r.getInt(0), r.getInt(1)))
-    val ranked = candPairs.filter { case (u, v) => wr.alpc.acceptAdaptive(u, v) }
-    val base = Map("candidate" -> candPairs, "ranked" -> ranked)
+    def kept(mask: Array[Boolean]) = candPairs.zip(mask).collect { case (p, true) => p }
+    val base = Map("candidate" -> candPairs, "ranked" -> kept(wr.alpc.acceptAdaptive(candPairs)))
     ensemble match {
-      case Some(es) => base + ("ensemble" -> candPairs.filter { case (u, v) => es.accept(u, v) })
+      case Some(es) => base + ("ensemble" -> kept(es.accept(candPairs)))
       case None     => base
     }
   }

@@ -9,6 +9,15 @@ import scala.util.Random
   * each forward, which doubles as edge dropout).
   */
 
+/** A full-graph encoder: `forward` returns the N×outDim embedding node,
+  * drawing its neighbour samples from `epochRng`.
+  */
+trait GraphEncoder {
+  def outDim: Int
+  def params: Seq[Param]
+  def forward(features: Tensor, g: EntityGraph, epochRng: Random)(implicit tape: Tape): Node
+}
+
 /** GeniePath (Liu et al., 2018) — the paper's backbone (eq. 1).
   *
   * Each layer is adaptive-breadth then adaptive-depth:
@@ -16,7 +25,8 @@ import scala.util.Random
   *             α = softmax_v( vᵀ tanh(W_s h_u + W_d h_v) )
   *   depth:    LSTM-style gating over h̃ with a carried cell state.
   */
-final class GeniePathEncoder(inDim: Int, val dim: Int, layers: Int, val k: Int, rng: Random) {
+final class GeniePathEncoder(inDim: Int, val dim: Int, layers: Int, val k: Int, rng: Random)
+    extends GraphEncoder {
   val input = new Dense(inDim, dim, "tanh", rng, "gp.in")
 
   /** Output width: input projection is concatenated with the gated output
@@ -73,8 +83,9 @@ final class GeniePathEncoder(inDim: Int, val dim: Int, layers: Int, val k: Int, 
   * logits; hidden layers stay ReLU.
   */
 final class MeanSageEncoder(inDim: Int, val dim: Int, layers: Int, val k: Int, rng: Random,
-                            finalAct: String = "tanh") {
+                            finalAct: String = "tanh") extends GraphEncoder {
   val input = new Dense(inDim, dim, "tanh", rng, "sage.in")
+  val outDim: Int = dim
   val denses: Seq[Dense] = (0 until layers).map { i =>
     val act = if (i == layers - 1) finalAct else "relu"
     new Dense(2 * dim, dim, act, rng, s"sage.$i")
@@ -101,7 +112,7 @@ final class MeanSageEncoder(inDim: Int, val dim: Int, layers: Int, val k: Int, r
   * of Vashishth et al.), then mixed with a self transform.
   */
 final class CompGcnEncoder(inDim: Int, val dim: Int, layers: Int, val k: Int,
-                           nRels: Int, rng: Random) {
+                           nRels: Int, rng: Random) extends GraphEncoder {
   val input = new Dense(inDim, dim, "tanh", rng, "cgcn.in")
 
   /** Same jumping-knowledge skip as GeniePathEncoder: output is [h0 ‖ h_L]. */

@@ -46,11 +46,17 @@ final class EntityGraph(val n: Int, val offsets: Array[Int], val neighbors: Arra
     out
   }
 
+  /** Per-relation neighbour pools, in CSR order, built once per graph. */
+  @transient private lazy val poolsByType: Map[Int, Array[Array[Int]]] =
+    relTypes.distinct.map { t =>
+      t -> Array.tabulate(n) { u =>
+        (offsets(u) until offsets(u + 1)).filter(i => relTypes(i) == t).map(neighbors).toArray
+      }
+    }.toMap
+
   /** Same, restricted to one relation type (for CompGCN). */
   def sampleNeighborsOfType(k: Int, relType: Int, rng: Random): Array[Int] = {
-    val byType = Array.tabulate(n) { u =>
-      (offsets(u) until offsets(u + 1)).filter(i => relTypes(i) == relType).map(neighbors).toArray
-    }
+    val byType = poolsByType.getOrElse(relType, Array.fill(n)(Array.emptyIntArray))
     val out = new Array[Int](n * k)
     var u = 0
     while (u < n) {

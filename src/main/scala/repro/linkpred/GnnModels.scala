@@ -6,8 +6,9 @@ import repro.nn._
 import repro.world.EntityWorld
 import scala.util.Random
 
-/** Shared bits for the GNN-based Table II baselines: full-batch Adam training
-  * of an encoder plus a pair-scoring MLP head, then a frozen-embedding scorer.
+/** Shared machinery of every neural link predictor (the GNN Table II
+  * baselines, ALPC and the ensemble): the pair-head input and its batched
+  * scorer, and the one full-batch Adam training loop.
   */
 object GnnTraining {
 
@@ -25,18 +26,27 @@ object GnnTraining {
   /** Width of `pairInput` given embedding width `d`. */
   def pairInputDim(d: Int): Int = 3 * d
 
-  /** Scores pairs through a trained MLP over pairInput (+ optional extras). */
-  final class PairMlpScorer(z: Tensor, head: Mlp,
-                            extra: Option[(Int, Int) => Array[Double]] = None) extends LinkScorer {
-    def score(u: Int, v: Int): Double = {
-      implicit val tape: Tape = new Tape
-      val base = pairInput(Ad.const(z), Array(u), Array(v))
-      val in = extra match {
-        case Some(f) => Ad.concatCols(base, Ad.const(Tensor.rowVec(f(u, v))))
-        case None    => base
+  /** Head input [pairInput(z) ‖ pair features]; either part may be absent. */
+  def headInput(z: Option[Node], us: Array[Int], vs: Array[Int], features: Option[Tensor])
+               (implicit t: Tape): Node =
+    (z.map(pairInput(_, us, vs)) ++ features.map(Ad.const(_))).reduceLeft(Ad.concatCols(_, _))
+
+  /** One row of `f(u, v)` per pair. */
+  def featureRows(f: (Int, Int) => Array[Double], pairs: Array[(Int, Int)]): Tensor =
+    Tensor.fromRows(pairs.toIndexedSeq.map { case (u, v) => f(u, v) })
+
+  /** Scores pairs through a trained MLP head over
+    * [pairInput(z) ‖ pairFeatures(u, v)], one forward per batch.
+    */
+  final class PairHeadScorer(z: Option[Tensor], head: Mlp,
+                             pairFeatures: Option[(Int, Int) => Array[Double]]) extends LinkScorer {
+    def logits(pairs: Array[(Int, Int)]): Array[Double] =
+      if (pairs.isEmpty) Array.emptyDoubleArray
+      else {
+        implicit val tape: Tape = new Tape
+        head.forward(headInput(z.map(Ad.const(_)), pairs.map(_._1), pairs.map(_._2),
+          pairFeatures.map(featureRows(_, pairs)))).v.data
       }
-      1.0 / (1.0 + math.exp(-head.forward(in).v(0, 0)))
-    }
   }
 
   /** log1p-squashed structural features of a pair on the train graph. */
@@ -46,6 +56,60 @@ object GnnTraining {
     g.jaccard(u, v),
     math.log1p(g.degree(u).toDouble * g.degree(v)),
   )
+
+  /** The training loop: every epoch records `loss(epoch)` on a fresh tape,
+    * then zeroGrad → backward → Adam step. Adam clips by the global gradient
+    * norm, summed over `params` in the order given.
+    */
+  def train(params: Seq[Param], lr: Double, epochs: Int)(loss: Int => Tape => Node): Unit = {
+    val opt = new Adam(params, lr)
+    var e = 0
+    while (e < epochs) {
+      val tape = new Tape
+      val l = loss(e)(tape)
+      opt.zeroGrad(); tape.backward(l); opt.step()
+      e += 1
+    }
+  }
+
+  /** Trains `enc` (plus `headParams`) under `loss(z, epochRng)` on the
+    * `[e^Se, e^Co]` features, the encoder sampling neighbours from
+    * `Random(seed + epoch)`, and returns the frozen inference embedding: the
+    * mean of `inferenceSamples` forwards seeded `seed - 1, seed - 2, …`.
+    */
+  def fitEncoder(enc: GraphEncoder, headParams: Seq[Param], data: LinkPredData, lr: Double,
+                 epochs: Int, seed: Long, inferenceSamples: Int = 1)
+                (loss: (Node, Random) => Tape => Node): Tensor = {
+    val feats = Tensor.fromRows(data.features.toIndexedSeq)
+    train(enc.params ++ headParams, lr, epochs) { e => implicit tape =>
+      val epochRng = new Random(seed + e)
+      loss(enc.forward(feats, data.trainGraph, epochRng), epochRng)(tape)
+    }
+    val samples = (1 to inferenceSamples).map { i =>
+      enc.forward(feats, data.trainGraph, new Random(seed - i))(new Tape).v
+    }
+    val acc = samples.head.copy()
+    samples.tail.foreach(acc.addInPlace)
+    acc.scaleInPlace(1.0 / samples.length)
+    acc
+  }
+
+  /** Encoder + MLP pair head over [pairInput(z) ‖ pairFeatures], trained with
+    * the BCE prediction loss alone (eq. 2).
+    */
+  def fitPairHead(enc: GraphEncoder, pairFeatures: Option[(Int, Int) => Array[Double]],
+                  data: LinkPredData, hidden: Int, lr: Double, epochs: Int, seed: Long,
+                  rng: Random, name: String): LinkScorer = {
+    val us = data.trainPairs.map(_._1)
+    val vs = data.trainPairs.map(_._2)
+    val labels = data.trainLabels
+    val feats = pairFeatures.map(featureRows(_, data.trainPairs))
+    val head = new Mlp(Seq(pairInputDim(enc.outDim) + feats.fold(0)(_.cols), hidden, 1), rng, name)
+    val z = fitEncoder(enc, head.params, data, lr, epochs, seed) { (z, _) => implicit tape =>
+      Ad.bceWithLogits(head.forward(headInput(Some(z), us, vs, feats)), labels)
+    }
+    new PairHeadScorer(Some(z), head, pairFeatures)
+  }
 }
 
 /** GeniePath link predictor — the paper's backbone trained with only the BCE
@@ -56,25 +120,8 @@ final class GeniePathLP(dim: Int = 32, layers: Int = 2, k: Int = 8,
   val name = "Geniepath"
   def fit(data: LinkPredData): LinkScorer = {
     val rng = new Random(seed)
-    val feats = Tensor.fromRows(data.features.toIndexedSeq)
-    val enc = new GeniePathEncoder(feats.cols, dim, layers, k, rng)
-    val head = new Mlp(Seq(GnnTraining.pairInputDim(enc.outDim), dim, 1), rng, "gp.head")
-    val opt = new Adam(enc.params ++ head.params, lr)
-    val us = data.trainPairs.map(_._1)
-    val vs = data.trainPairs.map(_._2)
-    val labels = data.trainLabels
-    var e = 0
-    while (e < epochs) {
-      implicit val tape: Tape = new Tape
-      val z = enc.forward(feats, data.trainGraph, new Random(seed + e))
-      val s = head.forward(GnnTraining.pairInput(z, us, vs))
-      val loss = Ad.bceWithLogits(s, labels)
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
-    }
-    implicit val tape: Tape = new Tape
-    val z = enc.forward(feats, data.trainGraph, new Random(seed - 1)).v
-    new GnnTraining.PairMlpScorer(z, head)
+    val enc = new GeniePathEncoder(data.features.head.length, dim, layers, k, rng)
+    GnnTraining.fitPairHead(enc, None, data, dim, lr, epochs, seed, rng, "gp.head")
   }
 }
 
@@ -88,31 +135,15 @@ final class Vgae(dim: Int = 32, layers: Int = 2, k: Int = 8,
   val name = "VGAE"
   def fit(data: LinkPredData): LinkScorer = {
     val rng = new Random(seed)
-    val feats = Tensor.fromRows(data.features.toIndexedSeq)
-    val enc = new MeanSageEncoder(feats.cols, dim, layers, k, rng, finalAct = "linear")
-    val opt = new Adam(enc.params, lr)
+    val enc = new MeanSageEncoder(data.features.head.length, dim, layers, k, rng, finalAct = "linear")
     val us = data.trainPairs.map(_._1)
     val vs = data.trainPairs.map(_._2)
     val labels = data.trainLabels
-    var e = 0
-    while (e < epochs) {
-      implicit val tape: Tape = new Tape
-      val z = enc.forward(feats, data.trainGraph, new Random(seed + e))
-      val s = Ad.rowDot(Ad.gatherRows(z, us), Ad.gatherRows(z, vs))
-      val loss = Ad.bceWithLogits(s, labels)
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
+    val z = GnnTraining.fitEncoder(enc, Seq.empty, data, lr, epochs, seed) { (z, _) => implicit tape =>
+      Ad.bceWithLogits(Ad.rowDot(Ad.gatherRows(z, us), Ad.gatherRows(z, vs)), labels)
     }
-    implicit val tape: Tape = new Tape
-    val z = enc.forward(feats, data.trainGraph, new Random(seed - 1)).v
-    new LinkScorer {
-      def score(u: Int, v: Int): Double = {
-        var dot = 0.0
-        var i = 0
-        while (i < z.cols) { dot += z(u, i) * z(v, i); i += 1 }
-        1.0 / (1.0 + math.exp(-dot))
-      }
-    }
+    // the decoder is the raw inner product: an uncalibrated embedding scorer
+    new EmbeddingScorer(Array.tabulate(z.rows)(z.row), 1.0, 0.0)
   }
 }
 
@@ -124,25 +155,8 @@ final class CompGcnLP(dim: Int = 32, layers: Int = 2, k: Int = 8,
   val name = "CompGCN"
   def fit(data: LinkPredData): LinkScorer = {
     val rng = new Random(seed)
-    val feats = Tensor.fromRows(data.features.toIndexedSeq)
-    val enc = new CompGcnEncoder(feats.cols, dim, layers, k, nRels = 2, rng)
-    val head = new Mlp(Seq(GnnTraining.pairInputDim(enc.outDim), dim, 1), rng, "cgcn.head")
-    val opt = new Adam(enc.params ++ head.params, lr)
-    val us = data.trainPairs.map(_._1)
-    val vs = data.trainPairs.map(_._2)
-    val labels = data.trainLabels
-    var e = 0
-    while (e < epochs) {
-      implicit val tape: Tape = new Tape
-      val z = enc.forward(feats, data.trainGraph, new Random(seed + e))
-      val s = head.forward(GnnTraining.pairInput(z, us, vs))
-      val loss = Ad.bceWithLogits(s, labels)
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
-    }
-    implicit val tape: Tape = new Tape
-    val z = enc.forward(feats, data.trainGraph, new Random(seed - 1)).v
-    new GnnTraining.PairMlpScorer(z, head)
+    val enc = new CompGcnEncoder(data.features.head.length, dim, layers, k, nRels = 2, rng)
+    GnnTraining.fitPairHead(enc, None, data, dim, lr, epochs, seed, rng, "cgcn.head")
   }
 }
 
@@ -156,36 +170,9 @@ final class PaGnn(dim: Int = 32, layers: Int = 2, k: Int = 8,
   val name = "PaGNN"
   def fit(data: LinkPredData): LinkScorer = {
     val rng = new Random(seed)
-    val feats = Tensor.fromRows(data.features.toIndexedSeq)
-    val enc = new MeanSageEncoder(feats.cols, dim, layers, k, rng)
-    val sf = GnnTraining.structFeatures(data.trainGraph) _
-    val head = new Mlp(Seq(3 * dim + 4, dim, 1), rng, "pagnn.head")
-    val opt = new Adam(enc.params ++ head.params, lr)
-    val us = data.trainPairs.map(_._1)
-    val vs = data.trainPairs.map(_._2)
-    val labels = data.trainLabels
-    val structT = Tensor.fromRows(data.trainPairs.toIndexedSeq.map { case (u, v) => sf(u, v) })
-    var e = 0
-    while (e < epochs) {
-      implicit val tape: Tape = new Tape
-      val z = enc.forward(feats, data.trainGraph, new Random(seed + e))
-      val zu = Ad.gatherRows(z, us); val zv = Ad.gatherRows(z, vs)
-      val in = Ad.concatCols(Ad.concatCols(Ad.concatCols(zu, zv), Ad.hadamard(zu, zv)), Ad.const(structT))
-      val loss = Ad.bceWithLogits(head.forward(in), labels)
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
-    }
-    val z = { implicit val tape: Tape = new Tape; enc.forward(feats, data.trainGraph, new Random(seed - 1)).v }
-    new LinkScorer {
-      def score(u: Int, v: Int): Double = {
-        implicit val t2: Tape = new Tape
-        val zu = Ad.const(Tensor.rowVec(z.row(u)))
-        val zv = Ad.const(Tensor.rowVec(z.row(v)))
-        val in = Ad.concatCols(Ad.concatCols(Ad.concatCols(zu, zv), Ad.hadamard(zu, zv)),
-                               Ad.const(Tensor.rowVec(sf(u, v))))
-        1.0 / (1.0 + math.exp(-head.forward(in).v(0, 0)))
-      }
-    }
+    val enc = new MeanSageEncoder(data.features.head.length, dim, layers, k, rng)
+    GnnTraining.fitPairHead(enc, Some(GnnTraining.structFeatures(data.trainGraph) _), data,
+      dim, lr, epochs, seed, rng, "pagnn.head")
   }
 }
 
@@ -209,21 +196,11 @@ final class Seal(hidden: Int = 16, epochs: Int = 200, lr: Double = 2e-2, seed: L
     val rng = new Random(seed)
     val pf = pairFeatures(data) _
     val head = new Mlp(Seq(6, hidden, 1), rng, "seal")
-    val opt = new Adam(head.params, lr)
-    val x = Tensor.fromRows(data.trainPairs.toIndexedSeq.map { case (u, v) => pf(u, v) })
+    val x = GnnTraining.featureRows(pf, data.trainPairs)
     val labels = data.trainLabels
-    var e = 0
-    while (e < epochs) {
-      implicit val tape: Tape = new Tape
-      val loss = Ad.bceWithLogits(head.forward(Ad.const(x)), labels)
-      opt.zeroGrad(); tape.backward(loss); opt.step()
-      e += 1
+    GnnTraining.train(head.params, lr, epochs) { _ => implicit tape =>
+      Ad.bceWithLogits(head.forward(Ad.const(x)), labels)
     }
-    new LinkScorer {
-      def score(u: Int, v: Int): Double = {
-        implicit val tape: Tape = new Tape
-        1.0 / (1.0 + math.exp(-head.forward(Ad.const(Tensor.rowVec(pf(u, v)))).v(0, 0)))
-      }
-    }
+    new GnnTraining.PairHeadScorer(None, head, Some(pf))
   }
 }

@@ -1,9 +1,17 @@
 package repro.linkpred
 
-/** A fitted model scoring entity pairs; scores live in [0,1]. */
+/** A fitted model scoring entity pairs. `logits` is the one model-specific
+  * method: the logits of a whole batch of pairs in a single forward pass.
+  * Scores are their sigmoids and live in [0,1]; a single pair is a batch of one.
+  */
 trait LinkScorer {
-  def score(u: Int, v: Int): Double
-  def scoreAll(pairs: Array[(Int, Int)]): Array[Double] = pairs.map { case (u, v) => score(u, v) }
+  def logits(pairs: Array[(Int, Int)]): Array[Double]
+  def scoreAll(pairs: Array[(Int, Int)]): Array[Double] = logits(pairs).map(LinkScorer.sigmoid)
+  def score(u: Int, v: Int): Double = scoreAll(Array((u, v)))(0)
+}
+
+object LinkScorer {
+  def sigmoid(x: Double): Double = 1.0 / (1.0 + math.exp(-x))
 }
 
 /** A trainable link-prediction method (one Table II row). */
@@ -36,5 +44,5 @@ object Calibration {
     (a, b)
   }
 
-  def apply(a: Double, b: Double, s: Double): Double = 1.0 / (1.0 + math.exp(-(a * s + b)))
+  def apply(a: Double, b: Double, s: Double): Double = LinkScorer.sigmoid(a * s + b)
 }

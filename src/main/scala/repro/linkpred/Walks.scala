@@ -96,23 +96,21 @@ object Walks {
 
 /** A scorer over node embeddings: calibrated sigmoid of the dot product. */
 final class EmbeddingScorer(emb: Array[Array[Double]], a: Double, b: Double) extends LinkScorer {
-  def score(u: Int, v: Int): Double = {
-    var dot = 0.0
-    var i = 0
-    while (i < emb(u).length) { dot += emb(u)(i) * emb(v)(i); i += 1 }
-    Calibration(a, b, dot)
-  }
+  def logits(pairs: Array[(Int, Int)]): Array[Double] =
+    pairs.map { case (u, v) => a * EmbeddingScorer.dot(emb, u, v) + b }
 }
 
 object EmbeddingScorer {
+  private def dot(emb: Array[Array[Double]], u: Int, v: Int): Double = {
+    var dot = 0.0
+    var i = 0
+    while (i < emb(u).length) { dot += emb(u)(i) * emb(v)(i); i += 1 }
+    dot
+  }
+
   /** Calibrates on the train pairs and wraps the embedding table. */
   def calibrated(emb: Array[Array[Double]], data: LinkPredData): EmbeddingScorer = {
-    val raw = data.trainPairs.map { case (u, v) =>
-      var dot = 0.0
-      var i = 0
-      while (i < emb(u).length) { dot += emb(u)(i) * emb(v)(i); i += 1 }
-      dot
-    }
+    val raw = data.trainPairs.map { case (u, v) => dot(emb, u, v) }
     val (a, b) = Calibration.fit(raw, data.trainLabels)
     new EmbeddingScorer(emb, a, b)
   }

@@ -46,10 +46,14 @@ object Targeting {
     val embById = entityEmb.collect().map(r => r.getInt(0) -> r.getSeq[Double](1).toArray).toMap
     val seedMean = {
       val vecs = seedIds.flatMap(embById.get)
+      require(vecs.nonEmpty, s"no embedding row for any seed entity ${seedIds.mkString(",")}")
       val d = vecs.head.length
       Array.tabulate(d)(i => vecs.map(_(i)).sum / vecs.length)
     }
-    val chosen = expanded.select("entity_id").collect().map(_.getInt(0))
+    val expandedIds = expanded.select("entity_id").collect().map(_.getInt(0))
+    val unembedded = expandedIds.filterNot(embById.contains)
+    require(unembedded.isEmpty, s"no embedding row for expanded entities ${unembedded.sorted.mkString(",")}")
+    val chosen = expandedIds
       .sortBy(e => -EntityWorld.cosine(embById(e), seedMean))
       .take(maxEntities).toSeq
 

@@ -78,10 +78,11 @@ object TableII {
     val dsInfo = datasets.map { case (name, keep, data) =>
       methods(scale).foreach { m =>
         val scorer = m.fit(data)
-        val auc = Metrics.auc(scorer.scoreAll(data.testPos), scorer.scoreAll(data.testNeg))
         val testPairs = data.testPos ++ data.testNeg
-        val predictedPositive: Array[(Int, Int)] = testPairs
-          .map(p => (p, scorer.score(p._1, p._2)))
+        val scores = scorer.scoreAll(testPairs)
+        val (posScores, negScores) = scores.splitAt(data.testPos.length)
+        val auc = Metrics.auc(posScores, negScores)
+        val predictedPositive: Array[(Int, Int)] = testPairs.zip(scores)
           .sortBy(-_._2).take(math.max(1, (data.testPos.length * 0.4).toInt)).map(_._1)
         // judge in *original* entity ids so latent relatedness is looked up right
         val origPairs = predictedPositive.map { case (u, v) => (keep(u), keep(v)) }

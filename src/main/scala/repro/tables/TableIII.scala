@@ -55,10 +55,8 @@ object TableIII {
 
     // publish the mined graph: ensemble-accepted candidate relations w/ scores
     val store = new GraphStore(spark, Files.createTempDirectory("geabase").resolve("graph").toString)
-    val acceptedRows = lastWeek.candidateEdges.select("src", "dst").collect()
-      .map(r => (r.getInt(0), r.getInt(1)))
-      .filter { case (u, v) => ensemble.accept(u, v) }
-      .map { case (u, v) => (u, v, ensemble.score(u, v)) }
+    val acceptedRows = ensemble.accepted(lastWeek.candidateEdges.select("src", "dst").collect()
+      .map(r => (r.getInt(0), r.getInt(1))))
     import spark.implicits._
     store.write(acceptedRows.toSeq.toDF("src", "dst", "score"))
 

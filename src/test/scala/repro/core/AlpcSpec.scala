@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.linkpred.{Metrics, TestGraphs}
+import repro.linkpred.TestGraphs.{bits, perPair}
 
 class AlpcSpec extends SparkSpec {
 
@@ -16,16 +17,21 @@ class AlpcSpec extends SparkSpec {
   test("scores are probabilities") {
     val all = scorer.scoreAll(data.testPos) ++ scorer.scoreAll(data.testNeg)
     assert(all.forall(s => s >= 0 && s <= 1))
+    val ps = data.testPos ++ data.testNeg
+    assert(bits(scorer.scoreAll(ps)) == bits(perPair(scorer, ps)))
   }
 
   test("adaptive thresholds differ across source entities") {
     val ths = (0 until data.n).map(scorer.thresholdOf)
     assert(ths.distinct.size > data.n / 4, "thresholds collapsed to a constant")
+    assert(bits(scorer.thresholdOf(Array.range(0, data.n))) == bits(ths.toArray))
   }
 
   test("adaptive acceptance is more precise than it is on negatives") {
     val posAccept = data.testPos.count { case (u, v) => scorer.acceptAdaptive(u, v) }
     val negAccept = data.testNeg.count { case (u, v) => scorer.acceptAdaptive(u, v) }
+    val ps = data.testPos ++ data.testNeg
+    assert(scorer.acceptAdaptive(ps).toSeq == ps.toSeq.map { case (u, v) => scorer.acceptAdaptive(u, v) })
     assert(posAccept.toDouble / data.testPos.length > negAccept.toDouble / data.testNeg.length + 0.2,
       s"posAccept=$posAccept/${data.testPos.length} negAccept=$negAccept/${data.testNeg.length}")
   }
@@ -52,6 +58,8 @@ class AlpcSpec extends SparkSpec {
   test("th- ablation has no threshold head (ε ≡ 0)") {
     val s = new Alpc(AlpcConfig(dim = 8, layers = 1, k = 4, epochs = 5, useThreshold = false)).fit(data)
     (0 until 10).foreach(u => assert(s.thresholdOf(u) == 0.0))
+    assert(s.thresholdOf(Array.range(0, 10)).forall(_ == 0.0))
+    assert(s.acceptAdaptive(data.testPos).toSeq == data.testPos.toSeq.map { case (u, v) => s.acceptAdaptive(u, v) })
   }
 
   test("embeddings have encoder output width and are finite") {

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.linkpred.{Metrics, TestGraphs}
+import repro.linkpred.TestGraphs.{bits, perPair}
 
 class EnsembleSpec extends SparkSpec {
 
@@ -14,6 +15,8 @@ class EnsembleSpec extends SparkSpec {
   test("ensemble learns the link labels") {
     val auc = Metrics.auc(ens.scoreAll(data.testPos), ens.scoreAll(data.testNeg))
     assert(auc > 0.7, s"ensemble AUC $auc")
+    val ps = data.testPos ++ data.testNeg
+    assert(bits(ens.scoreAll(ps)) == bits(perPair(ens, ps)))
   }
 
   test("fused embedding is the weekly concatenation") {
@@ -30,6 +33,12 @@ class EnsembleSpec extends SparkSpec {
       val logit = math.log(p / (1 - p))
       assert(ens.accept(u, v) == (logit > margin))
     }
+    val ps = data.testPos ++ data.testNeg
+    val perPairAccept = ps.toSeq.map { case (u, v) => ens.accept(u, v) }
+    assert(ens.accept(ps).toSeq == perPairAccept)
+    val accepted = ens.accepted(ps)
+    assert(accepted.map(a => (a._1, a._2)).toSeq == ps.toSeq.zip(perPairAccept).collect { case (p, true) => p })
+    assert(bits(accepted.map(_._3)) == bits(perPair(ens, accepted.map(a => (a._1, a._2)))))
   }
 
   test("ensemble of a single weekly model also works") {

@@ -16,6 +16,9 @@ class GnnModelsSpec extends SparkSpec {
     assert((pos ++ neg).forall(s => s >= 0 && s <= 1), s"${m.name} scores outside [0,1]")
     val auc = Metrics.auc(pos, neg)
     assert(auc > minAuc, s"${m.name} AUC $auc below $minAuc")
+    val ps = data.testPos ++ data.testNeg
+    assert(TestGraphs.bits(scorer.scoreAll(ps)) == TestGraphs.bits(TestGraphs.perPair(scorer, ps)),
+      s"${m.name} batched scores differ from per-pair scores")
     auc
   }
 

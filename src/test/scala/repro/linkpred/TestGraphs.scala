@@ -19,4 +19,11 @@ object TestGraphs {
       CandidateGeneration.CandConfig(topKCooc = 6, topKSem = 5))
     LinkPredData.split(spark, gc, world.cfg.nEntities, embSe, embCo, seed = 13)
   }
+
+  /** Bit patterns, so batched and per-pair scores compare bit for bit. */
+  def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  /** Per-pair scores: each pair scored as a batch of one. */
+  def perPair(scorer: LinkScorer, pairs: Array[(Int, Int)]): Array[Double] =
+    pairs.map { case (u, v) => scorer.score(u, v) }
 }

@@ -51,6 +51,8 @@ class WalksSpec extends SparkSpec {
     val scorer = new DeepWalk(dim = 16, walksPerNode = 6, walkLen = 8, epochs = 2).fit(data)
     val auc = Metrics.auc(scorer.scoreAll(data.testPos), scorer.scoreAll(data.testNeg))
     assert(auc > 0.6, s"DeepWalk AUC $auc")
+    assert(TestGraphs.bits(scorer.scoreAll(data.testPos)) ==
+      TestGraphs.bits(TestGraphs.perPair(scorer, data.testPos)))
   }
 
   test("Node2Vec fixture AUC beats random") {
@@ -58,5 +60,7 @@ class WalksSpec extends SparkSpec {
     val scorer = new Node2Vec(dim = 16, walksPerNode = 6, walkLen = 8, epochs = 2).fit(data)
     val auc = Metrics.auc(scorer.scoreAll(data.testPos), scorer.scoreAll(data.testNeg))
     assert(auc > 0.6, s"Node2Vec AUC $auc")
+    assert(TestGraphs.bits(scorer.scoreAll(data.testPos)) ==
+      TestGraphs.bits(TestGraphs.perPair(scorer, data.testPos)))
   }
 }

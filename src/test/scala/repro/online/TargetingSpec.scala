@@ -63,6 +63,16 @@ class TargetingSpec extends SparkSpec {
     intercept[IllegalArgumentException] {
       Targeting.target(spark, world, store, userEmb, entityEmb, Seq("garbage"), 2, 5)
     }
+    // a known phrase whose seed, or an expanded entity, has no embedding row
+    val seed = world.entities.find(_.topic == 1).get
+    val neighbour = world.entities.filter(e => e.topic == 1 && e.id != seed.id).minBy(_.id).id
+    Seq(seed.id, neighbour).foreach { missing =>
+      val e = intercept[IllegalArgumentException] {
+        Targeting.target(spark, world, store, userEmb, entityEmb.filter(col("entity_id") =!= missing),
+          Seq(seed.name), k = 3, topKUsers = 5)
+      }
+      assert(e.getMessage.contains(missing.toString), e.getMessage)
+    }
   }
 
   test("rule-based targeting ranks users by typed-entity hits") {
