@@ -38,7 +38,7 @@ class TableIIIBench extends SparkSpec {
   test("shape: every targeting request completes in interactive time") {
     result.rows.foreach { r =>
       assert(r.runtimeMillis < 4 * 60 * 1000,
-        s"${r.service}: ${r.runtimeMillis} ms exceeds the paper's 2-4 min envelope")
+        f"${r.service}: ${r.runtimeMillis}%.1f ms exceeds the paper's 2-4 min envelope")
     }
   }
 

@@ -40,7 +40,7 @@ object OnlineSim {
       cvrGainPct: Double,
       eglCvr: Double,
       baseCvr: Double,
-      runtimeMillis: Long)
+      runtimeMillis: Double)
 
   /** Default service specs: one per topic, seeded with the topic's two most
     * popular entities (what a marketer would type into the search box).

@@ -8,10 +8,12 @@ import scala.util.Random
   * is what the GNN trainers iterate over, and what neighbour sampling and
   * structural features (CN/AA/Jaccard) read.
   *
-  * Edges are stored undirected (both directions present).
+  * Edges are stored undirected (both directions present). `scores(i)` is the
+  * weight of CSR entry i (1.0 for unweighted graphs); `storage.GraphStore`
+  * serves k-hop queries from a weighted instance.
   */
 final class EntityGraph(val n: Int, val offsets: Array[Int], val neighbors: Array[Int],
-                        val relTypes: Array[Int]) extends Serializable {
+                        val relTypes: Array[Int], val scores: Array[Double]) extends Serializable {
 
   def degree(u: Int): Int = offsets(u + 1) - offsets(u)
   def numEdges: Int = neighbors.length / 2
@@ -103,20 +105,30 @@ object EntityGraph {
     fromEdges(raw, n)
   }
 
-  def fromEdges(edgeList: Seq[(Int, Int, Int)], n: Int): EntityGraph = {
-    val dedup = edgeList.flatMap { case (u, v, t) => Seq(((u, v), t), ((v, u), t)) }
-      .groupBy(_._1).map { case ((u, v), ts) => (u, v, ts.map(_._2).min) }.toArray
+  def fromEdges(edgeList: Seq[(Int, Int, Int)], n: Int): EntityGraph =
+    fromScoredEdges(edgeList.map { case (u, v, t) => (u, v, t, 1.0) }, n)
+
+  /** Same, with a score per edge (src, dst, rel_type, score). A pair given
+    * more than once keeps its min rel type and its max score.
+    */
+  def fromScoredEdges(edgeList: Seq[(Int, Int, Int, Double)], n: Int): EntityGraph = {
+    val dedup = edgeList.flatMap { case (u, v, t, s) => Seq(((u, v), (t, s)), ((v, u), (t, s))) }
+      .groupBy(_._1).map { case ((u, v), ts) =>
+        (u, v, ts.map(_._2._1).min, ts.map(_._2._2).reduce(_ max _))
+      }.toArray
     val deg = new Array[Int](n)
-    dedup.foreach { case (u, _, _) => deg(u) += 1 }
+    dedup.foreach { case (u, _, _, _) => deg(u) += 1 }
     val offsets = deg.scanLeft(0)(_ + _)
     val cursor = offsets.clone()
     val neighbors = new Array[Int](dedup.length)
     val relTypes = new Array[Int](dedup.length)
-    dedup.foreach { case (u, v, t) =>
+    val scores = new Array[Double](dedup.length)
+    dedup.foreach { case (u, v, t, s) =>
       neighbors(cursor(u)) = v
       relTypes(cursor(u)) = t
+      scores(cursor(u)) = s
       cursor(u) += 1
     }
-    new EntityGraph(n, offsets, neighbors, relTypes)
+    new EntityGraph(n, offsets, neighbors, relTypes, scores)
   }
 }

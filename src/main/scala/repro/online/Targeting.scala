@@ -15,9 +15,10 @@ object Targeting {
 
   final case class TargetingResult(
       seedIds: Seq[Int],
-      expandedEntities: DataFrame, // (entity_id, hop, path_score)
+      expandedEntities: DataFrame, // (entity_id, hop, path_score), a local relation
+      selectedEntities: Seq[Int], // the simulated marketer's curation, best first
       targetUsers: Array[(Int, Double)], // (user_id, avg preference) sorted desc
-      runtimeMillis: Long)
+      runtimeMillis: Double)
 
   /** End-to-end user targeting for one service.
     *
@@ -27,12 +28,16 @@ object Targeting {
     * keeping the `maxEntities` best — k-hop graphs cross topic bridges, and
     * an uncurated expansion measurably dilutes targeting quality.
     *
+    * The request runs no Spark job once the store's graph and the two
+    * embedding frames are resident (`GraphStore`, `UserPreference.resident`);
+    * the first request on a frame instance collects it.
+    *
     * @param phrases     service-related phrases typed by the marketer
-    * @param k           expansion depth chosen by the marketer
-    * @param topKUsers   export size
+    * @param k           expansion depth chosen by the marketer (>= 0)
+    * @param topKUsers   export size; <= 0 exports nobody
     * @param userEmb     precomputed user embeddings (offline daily job)
     * @param entityEmb   fused entity embeddings h_e (offline weekly job)
-    * @param maxEntities size of the simulated marketer's selection
+    * @param maxEntities size of the simulated marketer's selection; <= 0 exports nobody
     */
   def target(spark: SparkSession, world: EntityWorld, store: GraphStore,
              userEmb: DataFrame, entityEmb: DataFrame,
@@ -42,30 +47,24 @@ object Targeting {
     val seedIds = phrases.flatMap(world.idOf)
     require(seedIds.nonEmpty, s"no dict entity matches phrases $phrases")
 
-    val expanded = store.kHop(seedIds, k).cache()
-    val embById = entityEmb.collect().map(r => r.getInt(0) -> r.getSeq[Double](1).toArray).toMap
+    val expanded = store.expand(seedIds, k)
+    val entities = UserPreference.resident(entityEmb)
     val seedMean = {
-      val vecs = seedIds.flatMap(embById.get)
+      val vecs = seedIds.flatMap(entities.get)
       require(vecs.nonEmpty, s"no embedding row for any seed entity ${seedIds.mkString(",")}")
       val d = vecs.head.length
       Array.tabulate(d)(i => vecs.map(_(i)).sum / vecs.length)
     }
-    val expandedIds = expanded.select("entity_id").collect().map(_.getInt(0))
-    val unembedded = expandedIds.filterNot(embById.contains)
+    val expandedIds = expanded.map(_._1)
+    val unembedded = expandedIds.filter(entities.get(_).isEmpty)
     require(unembedded.isEmpty, s"no embedding row for expanded entities ${unembedded.sorted.mkString(",")}")
     val chosen = expandedIds
-      .sortBy(e => -EntityWorld.cosine(embById(e), seedMean))
-      .take(maxEntities).toSeq
+      .map(e => (-EntityWorld.cosine(entities(e), seedMean), e))
+      .sorted(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Int))
+      .take(maxEntities).map(_._2).toSeq
 
-    val scores = UserPreference.preferenceScores(spark, userEmb, entityEmb, chosen)
-    val top = scores.groupBy("user_id")
-      .agg(avg("score").as("pref"))
-      .orderBy(desc("pref"))
-      .limit(topKUsers)
-      .collect()
-      .map(r => (r.getInt(0), r.getDouble(1)))
-    val ms = (System.nanoTime() - t0) / 1000000
-    TargetingResult(seedIds, expanded, top, ms)
+    val top = UserPreference.topUsers(UserPreference.resident(userEmb), chosen.map(entities(_)), topKUsers)
+    TargetingResult(seedIds, store.frame(expanded), chosen, top, (System.nanoTime() - t0) / 1e6)
   }
 
   /** The rule-based production baseline (paper Fig. 1a, Table III baseline):

@@ -7,11 +7,86 @@ import org.apache.spark.sql.functions._
   * element-wise mean of the fused entity embeddings h_e over the user's
   * entity sequence, and the preference score is its dot product with h_e.
   *
-  * Implemented as pure DataFrame math (posexplode + groupBy) so it scales the
-  * way the paper's daily batch job does; the Oracle tests check the
-  * aggregation against DuckDB SQL.
+  * The daily user-embedding job is pure DataFrame math (posexplode +
+  * groupBy), so it scales the way the paper's batch job does; the Oracle
+  * tests check the aggregation against DuckDB SQL. Online requests score
+  * against driver-resident copies of the embedding frames (`resident`,
+  * `topUsers`); `preferenceScores` is the Spark form of the same scores.
   */
 object UserPreference {
+
+  /** An embedding frame (id, vec array<double>) decoded on the driver: `ids`
+    * ascending and distinct, `vectors(i)` the vector of `ids(i)`, all `dim` wide.
+    */
+  final class EmbeddingMatrix(val ids: Array[Int], val vectors: Array[Array[Double]], val dim: Int) {
+    def get(id: Int): Option[Array[Double]] = {
+      val i = java.util.Arrays.binarySearch(ids, id)
+      if (i >= 0) Some(vectors(i)) else None
+    }
+    def apply(id: Int): Array[Double] =
+      get(id).getOrElse(throw new NoSuchElementException(s"no embedding row for id $id"))
+  }
+
+  /** Decoded frames by instance. `Dataset` keeps `Object`'s identity
+    * `equals`/`hashCode`, so this is a weak identity map: an entry lives as
+    * long as its frame is reachable.
+    */
+  private val decoded = java.util.Collections.synchronizedMap(
+    new java.util.WeakHashMap[DataFrame, EmbeddingMatrix]())
+
+  /** The rows of an embedding frame (id, vec) as a driver-side matrix,
+    * collected on the first call for that frame instance and kept for as
+    * long as the instance is reachable. A frame is taken as a snapshot, the
+    * contract `.cache()` has: later calls serve the first decode even if the
+    * data under the frame has changed. A derived frame (`filter`,
+    * `repartition`, …) is a new instance and is decoded afresh.
+    */
+  def resident(frame: DataFrame): EmbeddingMatrix = decoded.computeIfAbsent(frame, decode _)
+
+  private def decode(frame: DataFrame): EmbeddingMatrix = {
+    val rows = frame.collect().map(r => (r.getInt(0), r.getSeq[Double](1).toArray)).sortBy(_._1)
+    val ids = rows.map(_._1)
+    val dupes = ids.groupBy(identity).collect { case (id, xs) if xs.length > 1 => id }
+    require(dupes.isEmpty, s"embedding frame repeats ids ${dupes.toSeq.sorted.mkString(",")}")
+    val dim = rows.headOption.fold(0)(_._2.length)
+    require(rows.forall(_._2.length == dim), s"embedding frame mixes vector widths")
+    new EmbeddingMatrix(ids, rows.map(_._2), dim)
+  }
+
+  /** Users by preference, best first: highest mean of r_u · h_e over
+    * `entities` (eq. 7), ties by ascending user id; the first `k`. One pass
+    * over the user matrix with a size-`k` heap. Each dot product is summed in
+    * dimension order, as `preferenceScores` sums it. Empty when `k <= 0` or
+    * `entities` is empty.
+    */
+  def topUsers(users: EmbeddingMatrix, entities: Seq[Array[Double]], k: Int): Array[(Int, Double)] = {
+    if (k <= 0 || entities.isEmpty) return Array.empty
+    require(users.ids.isEmpty || entities.forall(_.length == users.dim),
+      s"entity vectors must be ${users.dim} wide, as the user vectors are")
+    val heap = new java.util.PriorityQueue[(Int, Double)](BestFirst.reverse) // worst on top
+    var i = 0
+    while (i < users.ids.length) {
+      val u = users.vectors(i)
+      var sum = 0.0
+      entities.foreach { e =>
+        var dot = 0.0
+        var j = 0
+        while (j < u.length) { dot += u(j) * e(j); j += 1 }
+        sum += dot
+      }
+      val cand = (users.ids(i), sum / entities.length)
+      if (heap.size < k) heap.add(cand)
+      else if (BestFirst.lt(cand, heap.peek)) { heap.poll(); heap.add(cand) }
+      i += 1
+    }
+    heap.toArray(Array.empty[(Int, Double)]).sorted(BestFirst)
+  }
+
+  /** (user, score) by descending score, then ascending user id. */
+  private val BestFirst: Ordering[(Int, Double)] = (a, b) => {
+    val c = java.lang.Double.compare(b._2, a._2)
+    if (c != 0) c else Integer.compare(a._1, b._1)
+  }
 
   /** Entity embeddings as a DataFrame (entity_id, vec array<double>). */
   def embeddingsDf(spark: SparkSession, emb: Array[Array[Double]]): DataFrame = {

@@ -1,56 +1,111 @@
 package repro.storage
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{DoubleType, IntegerType}
+import repro.graph.EntityGraph
+import scala.collection.mutable
 
 /** Stand-in for Geabase, Ant's distributed graph database (paper §III-C).
   *
   * The online stage needs exactly two capabilities from the store: persist
-  * the mined relations, and answer k-hop neighbourhood queries fast. We
-  * persist the edge DataFrame as Parquet on the local filesystem and answer
-  * k-hop expansion with iterative self-joins — the same dataflow a
-  * distributed graph DB would execute, minus the RPC layer.
+  * the mined relations, and answer k-hop neighbourhood queries fast. The
+  * edge DataFrame is persisted as Parquet on the local filesystem (the
+  * durable copy); queries are answered by BFS over a weighted CSR
+  * (`EntityGraph`) held on the driver, the resident copy a graph database
+  * keeps in memory.
+  *
+  * `write` replaces the resident graph with the rows it persists. A store
+  * opened on an existing path loads the graph from Parquet when it is first
+  * queried and serves that snapshot from then on; writes through another
+  * `GraphStore` on the same path are not seen.
   */
 final class GraphStore(spark: SparkSession, path: String) {
 
-  /** Persists mined relations (src, dst, score). Overwrites prior weeks —
-    * the paper's graph is rebuilt weekly.
+  private var resident: EntityGraph = _
+
+  /** Persists mined relations (src: int, dst: int, score: double), and makes
+    * them the graph that `kHop` serves. Overwrites prior weeks — the paper's
+    * graph is rebuilt weekly. Ids must be non-negative and scores finite and
+    * non-negative (they are link probabilities; path scores multiply them).
     */
-  def write(relations: DataFrame): Unit =
-    relations.select("src", "dst", "score").write.mode("overwrite").parquet(path)
+  def write(relations: DataFrame): Unit = {
+    val rel = relations.select("src", "dst", "score")
+    require(rel.schema.map(_.dataType) == Seq(IntegerType, IntegerType, DoubleType),
+      s"relations must be (src int, dst int, score double), got ${rel.schema.simpleString}")
+    val rows = rel.collect()
+    val graph = GraphStore.csr(rows)
+    spark.createDataFrame(java.util.Arrays.asList(rows: _*), rel.schema)
+      .write.mode("overwrite").parquet(path)
+    synchronized { resident = graph }
+  }
 
   def edges(): DataFrame = spark.read.parquet(path)
 
-  /** Undirected adjacency view (both directions). */
-  def adjacency(): DataFrame = {
-    val e = edges()
-    e.select(col("src").as("a"), col("dst").as("b"), col("score"))
-      .union(e.select(col("dst").as("a"), col("src").as("b"), col("score")))
+  private def graph: EntityGraph = synchronized {
+    if (resident == null)
+      resident = GraphStore.csr(edges().select("src", "dst", "score").collect())
+    resident
   }
 
   /** Entities reachable within `k` hops of the seed entities, with hop depth
-    * and the best path score (product of edge scores along the discovered
-    * path). Seeds themselves are returned with hop 0 / score 1. This is the
-    * entity-graph-reasoning primitive the marketer UI drives.
+    * and the best path score: the max, over shortest-hop paths, of the
+    * product of edge scores along the path. Seeds themselves are returned
+    * with hop 0 / score 1, also when they have no edges. This is the
+    * entity-graph-reasoning primitive the marketer UI drives. Rows are
+    * (entity_id, hop, path_score), by hop then entity id.
     */
-  def kHop(seeds: Seq[Int], k: Int): DataFrame = {
-    import spark.implicits._
-    val adj = adjacency().cache()
-    var frontier = seeds.toDF("entity_id").withColumn("hop", lit(0)).withColumn("path_score", lit(1.0))
-    var visited = frontier
-    var hop = 0
-    while (hop < k) {
-      val next = frontier
-        .join(adj, frontier("entity_id") === adj("a"))
-        .select(col("b").as("entity_id"), (col("hop") + 1).as("hop"),
-                (col("path_score") * col("score")).as("path_score"))
-        .join(visited.select(col("entity_id").as("seen")), col("entity_id") === col("seen"), "left_anti")
-        .groupBy("entity_id")
-        .agg(min("hop").as("hop"), max("path_score").as("path_score"))
-      visited = visited.union(next.select("entity_id", "hop", "path_score"))
-      frontier = next.select("entity_id", "hop", "path_score")
-      hop += 1
+  def expand(seeds: Seq[Int], k: Int): Array[(Int, Int, Double)] = {
+    require(k >= 0, s"k must be >= 0, got k = $k")
+    val g = graph
+    val (inGraph, outside) = seeds.distinct.partition(s => s >= 0 && s < g.n)
+    val hop = Array.fill(g.n)(-1)
+    val score = new Array[Double](g.n)
+    var frontier = inGraph.toArray
+    frontier.foreach { s => hop(s) = 0; score(s) = 1.0 }
+    var h = 1
+    while (h <= k && frontier.nonEmpty) {
+      val next = mutable.ArrayBuilder.make[Int]
+      frontier.foreach { u =>
+        var i = g.offsets(u)
+        while (i < g.offsets(u + 1)) {
+          val v = g.neighbors(i)
+          val p = score(u) * g.scores(i)
+          if (hop(v) < 0) { hop(v) = h; score(v) = p; next += v }
+          else if (hop(v) == h && p > score(v)) score(v) = p
+          i += 1
+        }
+      }
+      frontier = next.result()
+      h += 1
     }
-    visited.groupBy("entity_id").agg(min("hop").as("hop"), max("path_score").as("path_score"))
+    val reached = (0 until g.n).filter(hop(_) >= 0).map(e => (e, hop(e), score(e)))
+    (outside.map(s => (s, 0, 1.0)) ++ reached).sortBy { case (e, d, _) => (d, e) }.toArray
+  }
+
+  /** `expand` as a DataFrame (entity_id, hop, path_score). */
+  def kHop(seeds: Seq[Int], k: Int): DataFrame = frame(expand(seeds, k))
+
+  /** Rows of `expand` as a DataFrame (entity_id, hop, path_score). It is a
+    * local relation: reading it runs no Spark job.
+    */
+  def frame(expansion: Array[(Int, Int, Double)]): DataFrame = {
+    import spark.implicits._
+    expansion.toSeq.toDF("entity_id", "hop", "path_score")
+  }
+}
+
+object GraphStore {
+
+  /** The undirected weighted CSR over relation rows (src, dst, score); a
+    * pair given more than once keeps its max score.
+    */
+  private def csr(rows: Array[Row]): EntityGraph = {
+    val edges = rows.toSeq.map { r =>
+      require(!r.anyNull && r.getInt(0) >= 0 && r.getInt(1) >= 0 && r.getDouble(2) >= 0 &&
+        !r.getDouble(2).isInfinite, s"relation $r: ids must be >= 0, scores finite and >= 0")
+      (r.getInt(0), r.getInt(1), r.getDouble(2))
+    }
+    val n = if (edges.isEmpty) 0 else edges.map { case (u, v, _) => math.max(u, v) }.max + 1
+    EntityGraph.fromScoredEdges(edges.map { case (u, v, s) => (u, v, 0, s) }, n)
   }
 }

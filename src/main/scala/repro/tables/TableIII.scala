@@ -93,7 +93,7 @@ object TableIII {
       sb ++= f"${m.service}%-16s ${m.exposureGainPct}%+6.2f%% | ${p.exposure}%+5.2f%%  " +
         f"${m.conversionGainPct}%+7.2f%% | ${p.conversion}%+6.2f%%  " +
         f"${m.cvrGainPct}%+7.2f%% | ${p.cvr}%+6.2f%%  " +
-        f"${m.runtimeMillis / 1000.0}%6.1fs | ${p.minutes}%4.1f min\n"
+        f"${m.runtimeMillis / 1000.0}%7.3fs | ${p.minutes}%4.1f min\n"
     }
     sb ++= f"  (paper services are Alipay campaigns; ours are synthetic topic services at SF scale)\n"
     sb.toString

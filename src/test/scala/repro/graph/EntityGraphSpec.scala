@@ -34,6 +34,15 @@ class EntityGraphSpec extends SparkSpec {
     assert(g2.numEdges == 5)
   }
 
+  test("scored duplicate pairs keep their max score; unscored edges weigh 1") {
+    val gs = EntityGraph.fromScoredEdges(Seq((0, 1, 0, 0.3), (1, 0, 0, 0.7), (1, 2, 0, 0.4), (0, 1, 0, 0.5)), 3)
+    def scoreOf(u: Int, v: Int) = (gs.offsets(u) until gs.offsets(u + 1)).filter(gs.neighbors(_) == v).map(gs.scores)
+    assert(gs.numEdges == 2)
+    assert(scoreOf(0, 1) == Seq(0.7) && scoreOf(1, 0) == Seq(0.7))
+    assert(scoreOf(1, 2) == Seq(0.4) && scoreOf(2, 1) == Seq(0.4))
+    assert(g.scores.forall(_ == 1.0))
+  }
+
   test("neighbor sampling returns only true neighbors, self-loop for isolated") {
     val rng = new Random(1)
     val sample = g.sampleNeighbors(4, rng)

@@ -75,6 +75,57 @@ class TargetingSpec extends SparkSpec {
     }
   }
 
+  test("k < 0 fails with a require naming k") {
+    val seed = world.entities.find(_.topic == 1).get
+    val e = intercept[IllegalArgumentException] {
+      Targeting.target(spark, world, store, userEmb, entityEmb, Seq(seed.name), k = -1, topKUsers = 5)
+    }
+    assert(e.getMessage.contains("k = -1"), e.getMessage)
+  }
+
+  test("topKUsers <= 0 or maxEntities <= 0 exports nobody") {
+    val seed = world.entities.find(_.topic == 1).get
+    for ((topK, maxEntities) <- Seq((0, 25), (-3, 25), (5, 0), (5, -1))) {
+      val res = Targeting.target(spark, world, store, userEmb, entityEmb, Seq(seed.name), 2, topK, maxEntities)
+      assert(res.targetUsers.isEmpty, s"topK $topK, maxEntities $maxEntities: ${res.targetUsers.toSeq}")
+    }
+  }
+
+  test("topKUsers > #users exports every user once") {
+    val seed = world.entities.find(_.topic == 3).get
+    val res = Targeting.target(spark, world, store, userEmb, entityEmb, Seq(seed.name), k = 2, topKUsers = 100)
+    assert(res.targetUsers.map(_._1).sorted.toSeq == (0 until 30))
+  }
+
+  test("a seed with no edges is targeted alone at hop 0") {
+    import spark.implicits._
+    // a graph over topic 0 only: the topic-1 seed has no edges
+    val topic0 = world.entities.filter(_.topic == 0).map(_.id).sorted
+    val s = new GraphStore(spark, Files.createTempDirectory("tg").resolve("e").toString)
+    s.write(topic0.zip(topic0.tail).map { case (a, b) => (a, b, 0.9) }.toSeq.toDF("src", "dst", "score"))
+    val seed = world.entities.find(_.topic == 1).get
+    val res = Targeting.target(spark, world, s, userEmb, entityEmb, Seq(seed.name), k = 3, topKUsers = 5)
+    val expanded = res.expandedEntities.collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2)))
+    assert(expanded.toSeq == Seq((seed.id, 0, 1.0)))
+    assert(res.selectedEntities == Seq(seed.id) && res.targetUsers.length == 5)
+  }
+
+  test("driver top-K equals Spark preferenceScores → avg → orderBy, for any partitioning") {
+    val seed = world.entities.find(_.topic == 2).get
+    for (parts <- Seq(7, 64); topK <- Seq(12, 30)) {
+      val users = userEmb.repartition(parts)
+      val res = Targeting.target(spark, world, store, users, entityEmb, Seq(seed.name), k = 3, topKUsers = topK)
+      val oracle = UserPreference.preferenceScores(spark, users, entityEmb, res.selectedEntities)
+        .groupBy("user_id").agg(avg("score").as("pref"))
+        .orderBy(desc("pref"), asc("user_id")).limit(topK)
+        .collect().map(r => (r.getInt(0), r.getDouble(1)))
+      assert(res.targetUsers.map(_._1).toSeq == oracle.map(_._1).toSeq, s"$parts partitions, top $topK")
+      res.targetUsers.zip(oracle).foreach { case ((u, got), (_, want)) =>
+        assert(math.abs(got - want) < 1e-12, s"user $u: $got vs $want")
+      }
+    }
+  }
+
   test("rule-based targeting ranks users by typed-entity hits") {
     import spark.implicits._
     // user 0 heavy on type-0 entities, user 1 light

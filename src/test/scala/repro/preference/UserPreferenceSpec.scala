@@ -62,4 +62,15 @@ class UserPreferenceSpec extends SparkSpec {
     val scores = UserPreference.preferenceScores(spark, ue, embDf, Seq(0, 1, 3))
     assert(scores.count() == 2 * 3)
   }
+
+  test("resident decodes a frame instance once; a derived frame is decoded afresh") {
+    val embDf = UserPreference.embeddingsDf(spark, emb)
+    val m = UserPreference.resident(embDf)
+    assert(UserPreference.resident(embDf) eq m)
+    assert(m.ids.toSeq == Seq(0, 1, 2, 3) && m.dim == 2 && m(2).toSeq == Seq(1.0, 1.0))
+    val derived = UserPreference.resident(embDf.filter(col("entity_id") =!= 2))
+    assert(derived.ids.toSeq == Seq(0, 1, 3) && derived.get(2).isEmpty)
+    val dupes = intercept[IllegalArgumentException](UserPreference.resident(embDf.union(embDf)))
+    assert(dupes.getMessage.contains("0,1,2,3"), dupes.getMessage)
+  }
 }
