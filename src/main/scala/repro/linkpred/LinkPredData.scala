@@ -50,6 +50,8 @@ object LinkPredData {
     val trainPosRel = trainPosDf.collect().map(r => (r.getInt(0), r.getInt(1), r.getInt(2)))
     val trainPos = trainPosRel.map { case (u, v, _) => (u, v) }
     val testPos = testPosDf.collect().map(r => (r.getInt(0), r.getInt(1)))
+    require(trainPos.nonEmpty, s"split: no training positives left of ${trainPos.length + testPos.length} " +
+      s"candidate edges, ${testPos.length} of them held out for test (testFrac $testFrac); too small to train on")
 
     val existing: Set[(Int, Int)] =
       (trainPos ++ testPos).flatMap { case (u, v) => Seq((u, v), (v, u)) }.toSet

@@ -47,6 +47,13 @@ class EnsembleSpec extends SparkSpec {
     assert(auc > 0.6, s"single-week ensemble AUC $auc")
   }
 
+  test("fitting twice in one JVM gives bit-identical logits (pooled kernels)") {
+    val cfg = EnsembleConfig(epochs = 4, maxTrainPairs = 2000, seed = 3)
+    val ps = data.testPos ++ data.testNeg
+    val Seq(a, b) = Seq.fill(2)(Ensemble.fit(weekly, data, cfg))
+    assert(bits(a.logits(ps)) == bits(b.logits(ps)))
+  }
+
   test("mismatched weekly dims are rejected") {
     val bad = weekly.take(1) :+ new repro.nn.Tensor(weekly.head.rows, weekly.head.cols + 1,
       new Array[Double](weekly.head.rows * (weekly.head.cols + 1)))

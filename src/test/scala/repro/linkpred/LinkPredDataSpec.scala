@@ -60,4 +60,22 @@ class LinkPredDataSpec extends SparkSpec {
     assert(d2.trainPos.sameElements(data.trainPos))
     assert(d2.testNeg.sameElements(data.testNeg))
   }
+
+  test("a graph with no training positives left fails naming the edge and test counts") {
+    import spark.implicits._
+    val feat = Array.fill(10)(Array.fill(4)(0.5))
+    val none = Seq.empty[(Int, Int, Int)].toDF("src", "dst", "rel_type")
+    val e1 = intercept[IllegalArgumentException](LinkPredData.split(spark, none, 10, feat, feat))
+    assert(e1.getMessage.contains("no training positives left of 0 candidate edges, 0 of them held out"))
+    // testFrac 1 holds every edge out
+    val three = Seq((0, 1, 0), (1, 2, 0), (2, 3, 1)).toDF("src", "dst", "rel_type")
+    val e3 = intercept[IllegalArgumentException](LinkPredData.split(spark, three, 10, feat, feat, testFrac = 1.0))
+    assert(e3.getMessage.contains("of 3 candidate edges, 3 of them held out for test"), e3.getMessage)
+  }
+
+  test("ragged feature rows fail in Tensor.fromRows naming the row and both widths") {
+    val ragged = data.copy(featCo = data.featCo.updated(7, Array(1.0)))
+    val e = intercept[IllegalArgumentException](repro.nn.Tensor.fromRows(ragged.features.toIndexedSeq))
+    assert(e.getMessage.contains("row 7 has 5 values, row 0 has 8"), e.getMessage)
+  }
 }

@@ -159,6 +159,52 @@ class AutodiffSpec extends AnyFunSuite {
     }
   }
 
+  test("matmul gradient with one const operand") {
+    val a = p(3, 4, "a"); val b = p(4, 2, "b")
+    val ca = Tensor.glorot(3, 4, rng); val cb = Tensor.glorot(4, 2, rng)
+    gradCheck(Seq(b)) { implicit t => Ad.mean(Ad.tanh(Ad.matmul(Ad.const(ca), Ad.leaf(b)))) }
+    gradCheck(Seq(a)) { implicit t => Ad.mean(Ad.tanh(Ad.matmul(Ad.leaf(a), Ad.const(cb)))) }
+  }
+
+  test("concatCols gradient with a const block") {
+    val a = p(3, 2, "a")
+    val c = Tensor.glorot(3, 4, rng)
+    gradCheck(Seq(a)) { implicit t => Ad.mean(Ad.sigmoid(Ad.concatCols(Ad.leaf(a), Ad.const(c)))) }
+    gradCheck(Seq(a)) { implicit t => Ad.mean(Ad.sigmoid(Ad.concatCols(Ad.const(c), Ad.leaf(a)))) }
+  }
+
+  test("const operands never get a gradient buffer") {
+    implicit val tape: Tape = new Tape
+    val w = p(4, 4, "w")
+    val x = Ad.leaf(w)
+    val consts = Seq.fill(6)(Ad.const(Tensor.glorot(4, 4, rng)))
+    val col = Ad.const(Tensor.glorot(16, 1, rng))
+    val terms = Seq(
+      Ad.matmul(consts(0), x),
+      Ad.matmul(x, consts(1)),
+      Ad.hadamard(x, consts(2)),
+      Ad.hadamard(consts(3), x),
+      Ad.add(Ad.gatherRows(consts(4), Array(3, 0, 3, 1)), Ad.reshape(Ad.hadamard(Ad.reshape(x, 16, 1), col), 4, 4)),
+      Ad.matmul(Ad.concatCols(x, consts(5)), Ad.const(Tensor.glorot(8, 4, rng))))
+    val loss = Ad.mean(Ad.tanh(terms.reduceLeft(Ad.add(_, _))))
+    w.zeroGrad()
+    tape.backward(loss)
+    (consts :+ col).foreach(c => assert(c.g == null, "a const input got a gradient buffer"))
+    assert(w.g.frobenius > 0)
+  }
+
+  test("a node computed only from constants does not require a gradient") {
+    implicit val tape: Tape = new Tape
+    val c = Ad.const(Tensor.glorot(3, 3, rng))
+    val x = Ad.leaf(p(3, 3, "x"))
+    assert(!c.requiresGrad && x.requiresGrad)
+    val fromConsts = Seq(Ad.matmul(c, c), Ad.hadamard(c, c), Ad.gatherRows(c, Array(2, 2)),
+      Ad.reshape(c, 9, 1), Ad.concatCols(c, c), Ad.tanh(Ad.add(c, c)), Ad.softmaxRows(c))
+    fromConsts.foreach(n => assert(!n.requiresGrad && n.backFn == null))
+    assert(Ad.matmul(c, x).requiresGrad && Ad.concatCols(x, c).requiresGrad)
+    assert(Ad.hadamard(Ad.matmul(c, c), x).requiresGrad)
+  }
+
   test("backward requires scalar loss") {
     implicit val tape: Tape = new Tape
     val a = Ad.const(Tensor.ones(2, 2))

@@ -5,6 +5,73 @@ import scala.util.Random
 
 class TensorSpec extends AnyFunSuite {
 
+  /** The reference product: the single-threaded ikj loop `mm` used to be. */
+  private def ref(a: Tensor, b: Tensor): Tensor = {
+    require(a.cols == b.rows)
+    val out = new Array[Double](a.rows * b.cols)
+    val oc = b.cols
+    var i = 0
+    while (i < a.rows) {
+      var k = 0
+      while (k < a.cols) {
+        val x = a.data(i * a.cols + k)
+        if (x != 0.0) {
+          var j = 0
+          while (j < oc) { out(i * oc + j) += x * b.data(k * oc + j); j += 1 }
+        }
+        k += 1
+      }
+      i += 1
+    }
+    new Tensor(a.rows, oc, out)
+  }
+
+  /** Gaussian entries with about a third of them exactly zero. */
+  private def sparse(rows: Int, cols: Int, rng: Random): Tensor =
+    new Tensor(rows, cols, Array.fill(rows * cols)(if (rng.nextInt(3) == 0) 0.0 else rng.nextGaussian()))
+
+  /** mm, mmTN and mmNT of an n×k by k×m product equal the reference bit for bit. */
+  private def checkKernels(n: Int, k: Int, m: Int, rng: Random): Unit = {
+    val a = sparse(n, k, rng); val b = sparse(k, m, rng)
+    val at = a.t; val bt = b.t
+    val shape = s"${n}x$k * ${k}x$m"
+    assert(java.util.Arrays.equals((a mm b).data, ref(a, b).data), s"mm $shape")
+    val tn = at mmTN b
+    assert(tn.rows == n && tn.cols == m && java.util.Arrays.equals(tn.data, ref(at.t, b).data), s"mmTN $shape")
+    val nt = a mmNT bt
+    assert(nt.rows == n && nt.cols == m && java.util.Arrays.equals(nt.data, ref(a, bt.t).data), s"mmNT $shape")
+  }
+
+  test("mm, mmTN and mmNT are bit-equal to the single-threaded reference") {
+    val rng = new Random(17)
+    val edges = Seq(
+      (1, 1, 1), (1, 37, 1), (1, 9, 23), (23, 9, 1), (37, 1, 5), // 1×k, k×1, inner width 1
+      (5, 3, 7), (6, 11, 2), (7, 300, 5), (13, 513, 6),        // rows not a multiple of 4; k past one block
+      (64, 64, 63), (257, 33, 31), (1001, 37, 19), (3, 2000, 50), // both sides of the cutoff
+      (4 * Tensor.threads + 3, 301, 257))                         // uneven split across the pool
+    val cutoff = Tensor.ParallelCutoff
+    assert(64L * 64 * 63 < cutoff && 257L * 33 * 31 > cutoff)
+    edges.foreach { case (n, k, m) => checkKernels(n, k, m, rng) }
+    (0 until 40).foreach { _ =>
+      checkKernels(1 + rng.nextInt(300), 1 + rng.nextInt(70), 1 + rng.nextInt(40), rng)
+    }
+  }
+
+  test("mmTN and mmNT shape mismatches throw") {
+    intercept[IllegalArgumentException](Tensor.zeros(3, 2) mmTN Tensor.zeros(2, 2))
+    intercept[IllegalArgumentException](Tensor.zeros(3, 2) mmNT Tensor.zeros(2, 3))
+  }
+
+  test("kernel pool threads are daemons") {
+    val rng = new Random(5)
+    val a = sparse(400, 100, rng)
+    a mm sparse(100, 40, rng) // above the cutoff, so the pool has run
+    val onPool = new java.util.concurrent.Callable[Boolean] { def call(): Boolean = Thread.currentThread.isDaemon }
+    assert(Tensor.pool.submit(onPool).get())
+    val poolThreads = Thread.getAllStackTraces.keySet.toArray(Array.empty[Thread]).filter(_.getName.startsWith("nn-mm-"))
+    assert(poolThreads.nonEmpty && poolThreads.forall(_.isDaemon))
+  }
+
   test("matmul against hand-computed 2x3 * 3x2") {
     val a = new Tensor(2, 3, Array(1, 2, 3, 4, 5, 6).map(_.toDouble))
     val b = new Tensor(3, 2, Array(7, 8, 9, 10, 11, 12).map(_.toDouble))
