@@ -13,7 +13,8 @@ import scala.util.Random
   * three joint objectives:
   *   - `L_pred`: BCE over the pair-scoring MLP `g([z_u ‖ z_v])` (eq. 2);
   *   - `L_th`:   per-source adaptive threshold ε_u = MLP(z_u), BCE on
-  *               σ(s_uv − ε_u) (eq. 3);
+  *               σ(s_uv − ε_u) (eq. 3), with the same s_uv as `L_pred` over
+  *               the class-balanced prefix of the training pairs;
   *   - `L_cl`:   InfoNCE over semantic anchor pairs ⟨e, e⁺⟩ with in-batch
   *               negatives (eq. 4);
   * total `L = L_pred + α·L_th + β·L_cl`, α = β = 1 (eq. 5).
@@ -117,15 +118,13 @@ final class Alpc(cfg: AlpcConfig = AlpcConfig()) extends LinkPredictor {
     // train ratio the negatives' gradient dominates and pushes every ε_u
     // above most true relations' scores — the truncated graph collapses.
     // ε is supposed to sit between each source's positive and negative
-    // score modes (paper Fig. 5a), which balanced supervision gives.
-    val thPairs = data.trainPos ++ data.trainNeg.take(data.trainPos.length)
-    val thUs = thPairs.map(_._1)
-    val thVs = thPairs.map(_._2)
-    val thLabels = Array.fill(data.trainPos.length)(1.0) ++
-      Array.fill(thPairs.length - data.trainPos.length)(0.0)
+    // score modes (paper Fig. 5a), which balanced supervision gives. It is a
+    // prefix of the training pairs, so L_th reads their s_uv from `s`.
+    val balanced = Array.range(0, data.balancedCount)
+    val thUs = us.take(balanced.length)
+    val thLabels = labels.take(balanced.length)
 
     val structTrain = Some(GnnTraining.featureRows(sf, data.trainPairs))
-    val structTh = Some(GnnTraining.featureRows(sf, thPairs))
 
     // the inference embedding averages three stochastic forwards so the
     // frozen z is not hostage to one neighbour sample (absolute cuts like ε
@@ -136,7 +135,7 @@ final class Alpc(cfg: AlpcConfig = AlpcConfig()) extends LinkPredictor {
       var loss = Ad.bceWithLogits(s, labels)
 
       if (cfg.useThreshold) {
-        val sTh = head.forward(GnnTraining.headInput(Some(z), thUs, thVs, structTh))
+        val sTh = Ad.gatherRows(s, balanced)
         val eps = thHead.forward(Ad.gatherRows(z, thUs))
         val lTh = Ad.bceWithLogits(Ad.sub(sTh, eps), thLabels)
         loss = Ad.add(loss, Ad.scale(lTh, cfg.alpha))

@@ -85,11 +85,10 @@ object Ensemble {
     val mha = new MultiHeadAttention(dim, cfg.heads, rng, "ens.mha")
     val head = new Mlp(Seq(headInputDim(tokens, dim), dim, 1), rng, "ens.head")
 
-    // class-balanced training pairs (the 0.5 accept cut assumes a balanced
-    // prior; the raw 1:3 ratio would bias the classifier toward rejecting
-    // every relation), capped so ensemble cost stays bounded at bench scale
-    val balanced = data.trainPos.map((_, 1.0)) ++
-      data.trainNeg.take(data.trainPos.length).map((_, 0.0))
+    // the class-balanced pairs ALPC's threshold task also uses (the 0.5 accept
+    // cut assumes a balanced prior; the raw 1:3 ratio would bias the classifier
+    // toward rejecting every relation), capped so cost stays bounded at bench scale
+    val balanced = data.trainPairs.zip(data.trainLabels).take(data.balancedCount)
     val sampled = if (balanced.length <= cfg.maxTrainPairs) balanced
                   else rng.shuffle(balanced.toIndexedSeq).take(cfg.maxTrainPairs).toArray
     val pairs = sampled.map(_._1)

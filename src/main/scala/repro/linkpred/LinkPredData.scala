@@ -32,6 +32,12 @@ final case class LinkPredData(
 
   def trainPairs: Array[(Int, Int)] = trainPos ++ trainNeg
   def trainLabels: Array[Double] = Array.fill(trainPos.length)(1.0) ++ Array.fill(trainNeg.length)(0.0)
+
+  /** Size of the class-balanced set ALPC's threshold task and the ensemble
+    * train on: every positive, then as many negatives (all of them if fewer).
+    * The set is the first `balancedCount` rows of `trainPairs` / `trainLabels`.
+    */
+  def balancedCount: Int = trainPos.length + math.min(trainPos.length, trainNeg.length)
 }
 
 object LinkPredData {
@@ -43,13 +49,13 @@ object LinkPredData {
   def split(spark: SparkSession, edges: DataFrame, n: Int,
             featSe: Array[Array[Double]], featCo: Array[Array[Double]],
             testFrac: Double = 0.10, negRatio: Int = 3, seed: Long = 53L): LinkPredData = {
-    val withRnd = edges.select("src", "dst", "rel_type").withColumn("rnd", rand(seed))
-    val testPosDf = withRnd.filter(col("rnd") < testFrac)
-    val trainPosDf = withRnd.filter(col("rnd") >= testFrac)
+    // one evaluation of the input, so each edge lands in exactly one of test and train
+    val (testRows, trainRows) = edges.select("src", "dst", "rel_type").withColumn("rnd", rand(seed))
+      .collect().partition(_.getDouble(3) < testFrac)
 
-    val trainPosRel = trainPosDf.collect().map(r => (r.getInt(0), r.getInt(1), r.getInt(2)))
+    val trainPosRel = trainRows.map(r => (r.getInt(0), r.getInt(1), r.getInt(2)))
     val trainPos = trainPosRel.map { case (u, v, _) => (u, v) }
-    val testPos = testPosDf.collect().map(r => (r.getInt(0), r.getInt(1)))
+    val testPos = testRows.map(r => (r.getInt(0), r.getInt(1)))
     require(trainPos.nonEmpty, s"split: no training positives left of ${trainPos.length + testPos.length} " +
       s"candidate edges, ${testPos.length} of them held out for test (testFrac $testFrac); too small to train on")
 

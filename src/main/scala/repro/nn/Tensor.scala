@@ -167,7 +167,6 @@ object Tensor {
   }
 
   def rowVec(values: Array[Double]): Tensor = new Tensor(1, values.length, values.clone())
-  def colVec(values: Array[Double]): Tensor = new Tensor(values.length, 1, values.clone())
 
   /** Products with fewer multiply-adds than this run on the calling thread. */
   private[nn] val ParallelCutoff: Long = 1L << 18

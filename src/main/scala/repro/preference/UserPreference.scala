@@ -7,7 +7,7 @@ import org.apache.spark.sql.functions._
   * element-wise mean of the fused entity embeddings h_e over the user's
   * entity sequence, and the preference score is its dot product with h_e.
   *
-  * The daily user-embedding job is pure DataFrame math (posexplode +
+  * The daily user-embedding job is pure DataFrame math (one join and one
   * groupBy), so it scales the way the paper's batch job does; the Oracle
   * tests check the aggregation against DuckDB SQL. Online requests score
   * against driver-resident copies of the embedding frames (`resident`,
@@ -98,16 +98,13 @@ object UserPreference {
     * Input: flattened sequences (user_id, rank, entity_id) + embeddings.
     * Output: (user_id, vec array<double>).
     */
-  def userEmbeddings(flatSeq: DataFrame, embeddings: DataFrame): DataFrame = {
+  def userEmbeddings(flatSeq: DataFrame, embeddings: DataFrame): DataFrame =
     flatSeq
       .join(embeddings, "entity_id")
-      .select(col("user_id"), posexplode(col("vec")).as(Seq("dim", "value")))
-      .groupBy("user_id", "dim")
-      .agg(avg("value").as("value"))
       .groupBy("user_id")
-      .agg(sort_array(collect_list(struct(col("dim"), col("value")))).as("pairs"))
-      .select(col("user_id"), expr("transform(pairs, p -> p.value)").as("vec"))
-  }
+      .agg(collect_list(col("vec")).as("vecs"))
+      .select(col("user_id"),
+        expr("transform(vecs[0], (_, j) -> aggregate(vecs, 0D, (a, v) -> a + v[j]) / size(vecs))").as("vec"))
 
   /** s_<u,e> = r_u · h_e for every (user, entity in `entityIds`) pair.
     * Output: (user_id, entity_id, score).

@@ -1,7 +1,6 @@
 package repro.tables
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 import repro.candidate.CandidateGeneration
 import repro.core.{Alpc, AlpcConfig, AlpcScorer}
 import repro.embed.SkipGram
@@ -54,20 +53,20 @@ object TableII {
     val flat = EntitySequenceExtractor.flattened(EntitySequenceExtractor.extract(tagged)).cache()
     val embCo = SkipGram.train(spark, flat, scale.world.nEntities, scale.sgCfg)
     val embSe = repro.embed.SemanticEmbed.embed(world)
+    // collected from the cached frame, which keeps every shuffle partition:
+    // uncached, AQE coalesces them and the rows (so each split) come in another order
     val master = CandidateGeneration.candidateGraph(spark, embCo, embSe, scale.candCfg).cache()
+      .collect().map(r => (r.getInt(0), r.getInt(1), r.getInt(3)))
 
     val names = Seq("A", "B", "C")
     val datasets = names.zip(scale.ratios).map { case (name, ratio) =>
       val rng = new scala.util.Random(1000 + name.hashCode)
       val keep = (0 until scale.world.nEntities).filter(_ => rng.nextDouble() < ratio)
       val remap = keep.zipWithIndex.toMap
-      val keepSet = keep.toSet
       import spark.implicits._
-      val bRemap = spark.sparkContext.broadcast(remap)
-      val edges = master.filter(col("src").isin(keepSet.toSeq.map(_.asInstanceOf[Any]): _*) &&
-                                col("dst").isin(keepSet.toSeq.map(_.asInstanceOf[Any]): _*))
-        .collect().map(r => (remap(r.getInt(0)), remap(r.getInt(1)), r.getInt(3)))
-        .toSeq.toDF("src", "dst", "rel_type")
+      val edges = master.collect { case (u, v, rel) if remap.contains(u) && remap.contains(v) =>
+        (remap(u), remap(v), rel)
+      }.toSeq.toDF("src", "dst", "rel_type")
       val se = keep.map(embSe).toArray
       val co = keep.map(embCo).toArray
       val data = LinkPredData.split(spark, edges, keep.length, se, co, seed = 53 + name.hashCode)

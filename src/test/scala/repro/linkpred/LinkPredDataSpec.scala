@@ -1,6 +1,7 @@
 package repro.linkpred
 
 import repro.SparkSpec
+import repro.graph.EntityGraph
 
 class LinkPredDataSpec extends SparkSpec {
 
@@ -47,6 +48,37 @@ class LinkPredDataSpec extends SparkSpec {
     assert(data.trainPairs.length == data.trainLabels.length)
     assert(data.trainLabels.take(data.trainPos.length).forall(_ == 1.0))
     assert(data.trainLabels.drop(data.trainPos.length).forall(_ == 0.0))
+  }
+
+  test("the balanced set is the prefix of trainPairs: every positive, then as many negatives") {
+    def check(d: LinkPredData): Unit = {
+      val n = d.balancedCount
+      val nNeg = math.min(d.trainPos.length, d.trainNeg.length)
+      assert(n == d.trainPos.length + nNeg)
+      assert(d.trainPairs.take(n).sameElements(d.trainPos ++ d.trainNeg.take(d.trainPos.length)))
+      assert(d.trainLabels.take(n).sameElements(Array.fill(d.trainPos.length)(1.0) ++ Array.fill(nNeg)(0.0)))
+    }
+    check(data)
+    assert(data.balancedCount == 2 * data.trainPos.length)
+    // fewer negatives than positives: the set is all of trainPairs
+    val pos = Array((0, 1), (1, 2), (2, 3))
+    val neg = Array((0, 3))
+    val feat = Array.fill(4)(Array(0.5))
+    val small = LinkPredData(4, EntityGraph.fromEdges(pos.toIndexedSeq.map { case (u, v) => (u, v, 0) }, 4),
+      pos, neg, Array.empty, Array.empty, feat, feat, seed = 1)
+    check(small)
+    assert(small.balancedCount == 4)
+    assert(small.trainPairs.take(small.balancedCount).sameElements(small.trainPairs))
+  }
+
+  test("a shuffled input splits into disjoint train and test positives that together are the input") {
+    val gc = TestGraphs.tinyCandidates(spark)
+    val d = LinkPredData.split(spark, gc, TestGraphs.world.cfg.nEntities, TestGraphs.embSe, TestGraphs.embCo,
+      seed = 13)
+    val input = gc.collect().map(r => (r.getInt(0), r.getInt(1))).toSeq
+    assert(d.testPos.nonEmpty && d.trainPos.nonEmpty)
+    assert(d.trainPos.toSet.intersect(d.testPos.toSet).isEmpty)
+    assert((d.trainPos ++ d.testPos).toSeq.sorted == input.sorted)
   }
 
   test("split is deterministic in the seed") {

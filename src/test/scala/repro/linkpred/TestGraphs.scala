@@ -1,6 +1,6 @@
 package repro.linkpred
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.candidate.CandidateGeneration
 import repro.embed.SemanticEmbed
 import repro.world.{EntityWorld, WorldConfig}
@@ -12,13 +12,18 @@ object TestGraphs {
 
   lazy val world = new EntityWorld(WorldConfig(nEntities = 120, nTopics = 6, nUsers = 10, seed = 43))
 
-  def tinyDataset(spark: SparkSession): LinkPredData = {
-    val embSe = SemanticEmbed.embed(world, SemanticEmbed.SemConfig(signal = 0.75, noise = 0.15, seed = 2))
-    val embCo = SemanticEmbed.embed(world, SemanticEmbed.SemConfig(signal = 0.65, noise = 0.25, seed = 3))
-    val gc = CandidateGeneration.candidateGraph(spark, embCo, embSe,
+  def embSe: Array[Array[Double]] =
+    SemanticEmbed.embed(world, SemanticEmbed.SemConfig(signal = 0.75, noise = 0.15, seed = 2))
+  def embCo: Array[Array[Double]] =
+    SemanticEmbed.embed(world, SemanticEmbed.SemConfig(signal = 0.65, noise = 0.25, seed = 3))
+
+  /** The fixture's candidate graph `G^C` (src, dst, sim, rel_type), uncached. */
+  def tinyCandidates(spark: SparkSession): DataFrame =
+    CandidateGeneration.candidateGraph(spark, embCo, embSe,
       CandidateGeneration.CandConfig(topKCooc = 6, topKSem = 5))
-    LinkPredData.split(spark, gc, world.cfg.nEntities, embSe, embCo, seed = 13)
-  }
+
+  def tinyDataset(spark: SparkSession): LinkPredData =
+    LinkPredData.split(spark, tinyCandidates(spark), world.cfg.nEntities, embSe, embCo, seed = 13)
 
   /** Bit patterns, so batched and per-pair scores compare bit for bit. */
   def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
