@@ -73,20 +73,48 @@ final class EntityGraph(val n: Int, val offsets: Array[Int], val neighbors: Arra
     out
   }
 
-  def commonNeighbors(u: Int, v: Int): Int = {
-    val su = neighborSet(u)
-    neighborsOf(v).count(su.contains)
+  /** Each CSR row sorted ascending, built once per graph: membership and
+    * intersection queries for the structural features run on it by binary
+    * search or a merge. CSR rows never repeat a neighbour.
+    */
+  @transient private lazy val sortedNeighbors: Array[Int] = {
+    val out = neighbors.clone()
+    var u = 0
+    while (u < n) { java.util.Arrays.sort(out, offsets(u), offsets(u + 1)); u += 1 }
+    out
   }
 
+  private def isNeighbor(u: Int, w: Int): Boolean =
+    java.util.Arrays.binarySearch(sortedNeighbors, offsets(u), offsets(u + 1), w) >= 0
+
+  def commonNeighbors(u: Int, v: Int): Int = {
+    val s = sortedNeighbors
+    var i = offsets(u); var j = offsets(v); var inter = 0
+    while (i < offsets(u + 1) && j < offsets(v + 1)) {
+      if (s(i) < s(j)) i += 1
+      else if (s(i) > s(j)) j += 1
+      else { inter += 1; i += 1; j += 1 }
+    }
+    inter
+  }
+
+  /** Σ 1 / log(deg w + e) over the common neighbours w, summed in the CSR
+    * order of `v`'s row.
+    */
   def adamicAdar(u: Int, v: Int): Double = {
-    val su = neighborSet(u)
-    neighborsOf(v).filter(su.contains).map(w => 1.0 / math.log(degree(w) + math.E)).sum
+    var sum = 0.0
+    var i = offsets(v)
+    while (i < offsets(v + 1)) {
+      val w = neighbors(i)
+      if (isNeighbor(u, w)) sum += 1.0 / math.log(degree(w) + math.E)
+      i += 1
+    }
+    sum
   }
 
   def jaccard(u: Int, v: Int): Double = {
-    val su = neighborSet(u); val sv = neighborSet(v)
-    val inter = su.intersect(sv).size
-    val union = su.union(sv).size
+    val inter = commonNeighbors(u, v)
+    val union = degree(u) + degree(v) - inter
     if (union == 0) 0.0 else inter.toDouble / union
   }
 }

@@ -10,12 +10,13 @@ import org.apache.spark.sql.functions._
 object EntitySequenceExtractor {
 
   /** Input: tagged behaviors (user_id, day, session, pos, entity_id).
-    * Output: (user_id, seq: array<int>) ordered by (day, session, pos).
+    * Output: (user_id, seq: array<int>) ordered by (day, session, pos); no
+    * rows when no behavior was tagged with an entity.
     */
   def extract(tagged: DataFrame, windowDays: Int = 30): DataFrame = {
-    val maxDay = tagged.agg(max("day")).head.getInt(0)
+    val maxDay = tagged.agg(max("day")).head
     tagged
-      .filter(col("day") > maxDay - windowDays)
+      .filter(if (maxDay.isNullAt(0)) lit(false) else col("day") > maxDay.getInt(0) - windowDays)
       .withColumn("ord", struct(col("day"), col("session"), col("pos")))
       .groupBy("user_id")
       .agg(sort_array(collect_list(struct(col("ord"), col("entity_id")))).as("pairs"))

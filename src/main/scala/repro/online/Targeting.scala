@@ -30,7 +30,10 @@ object Targeting {
     *
     * The request runs no Spark job once the store's graph and the two
     * embedding frames are resident (`GraphStore`, `UserPreference.resident`);
-    * the first request on a frame instance collects it.
+    * the first request on a frame instance collects it. A warm request costs
+    * its graph and scoring work: a CSR BFS, the curation, one dot product per
+    * user (`UserPreference.topUsers`), and a local-relation
+    * `expandedEntities` built against a fixed schema (`GraphStore.frame`).
     *
     * @param phrases     service-related phrases typed by the marketer
     * @param k           expansion depth chosen by the marketer (>= 0)

@@ -54,27 +54,32 @@ object UserPreference {
   }
 
   /** Users by preference, best first: highest mean of r_u · h_e over
-    * `entities` (eq. 7), ties by ascending user id; the first `k`. One pass
-    * over the user matrix with a size-`k` heap. Each dot product is summed in
-    * dimension order, as `preferenceScores` sums it. Empty when `k <= 0` or
-    * `entities` is empty.
+    * `entities` (eq. 7), ties by ascending user id; the first `k`. The mean is
+    * linear, so it is computed as one dot product r_u · ē per user, where ē
+    * is the mean entity vector (summed in `entities` order, then divided by
+    * their count). That equals the mean of the per-entity dot products up to
+    * rounding: within 1e-12 for unit-scale vectors of up to 96 dimensions and
+    * 30 entities, and bit-identical for one entity. One pass over the user
+    * matrix with a size-`k` heap. Empty when `k <= 0` or `entities` is empty.
     */
   def topUsers(users: EmbeddingMatrix, entities: Seq[Array[Double]], k: Int): Array[(Int, Double)] = {
-    if (k <= 0 || entities.isEmpty) return Array.empty
-    require(users.ids.isEmpty || entities.forall(_.length == users.dim),
+    if (k <= 0 || entities.isEmpty || users.ids.isEmpty) return Array.empty
+    require(entities.forall(_.length == users.dim),
       s"entity vectors must be ${users.dim} wide, as the user vectors are")
+    val mean = new Array[Double](users.dim)
+    entities.foreach { e =>
+      var d = 0
+      while (d < mean.length) { mean(d) += e(d); d += 1 }
+    }
+    for (d <- mean.indices) mean(d) /= entities.length
     val heap = new java.util.PriorityQueue[(Int, Double)](BestFirst.reverse) // worst on top
     var i = 0
     while (i < users.ids.length) {
       val u = users.vectors(i)
-      var sum = 0.0
-      entities.foreach { e =>
-        var dot = 0.0
-        var j = 0
-        while (j < u.length) { dot += u(j) * e(j); j += 1 }
-        sum += dot
-      }
-      val cand = (users.ids(i), sum / entities.length)
+      var dot = 0.0
+      var j = 0
+      while (j < u.length) { dot += u(j) * mean(j); j += 1 }
+      val cand = (users.ids(i), dot)
       if (heap.size < k) heap.add(cand)
       else if (BestFirst.lt(cand, heap.peek)) { heap.poll(); heap.add(cand) }
       i += 1

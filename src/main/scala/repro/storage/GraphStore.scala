@@ -1,7 +1,7 @@
 package repro.storage
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{DoubleType, IntegerType}
+import org.apache.spark.sql.types.{DoubleType, IntegerType, StructField, StructType}
 import repro.graph.EntityGraph
 import scala.collection.mutable
 
@@ -85,16 +85,28 @@ final class GraphStore(spark: SparkSession, path: String) {
   /** `expand` as a DataFrame (entity_id, hop, path_score). */
   def kHop(seeds: Seq[Int], k: Int): DataFrame = frame(expand(seeds, k))
 
-  /** Rows of `expand` as a DataFrame (entity_id, hop, path_score). It is a
-    * local relation: reading it runs no Spark job.
+  /** Rows of `expand` as a DataFrame (entity_id, hop, path_score), in the
+    * given order, all three columns non-nullable. It is a local relation built
+    * from generic rows against one constant schema, so building it derives
+    * no product encoder by reflection, and neither building nor reading it
+    * runs a Spark job.
     */
   def frame(expansion: Array[(Int, Int, Double)]): DataFrame = {
-    import spark.implicits._
-    expansion.toSeq.toDF("entity_id", "hop", "path_score")
+    val rows = new java.util.ArrayList[Row](expansion.length)
+    expansion.foreach { case (e, h, s) => rows.add(Row(e, h, s)) }
+    spark.createDataFrame(rows, GraphStore.ExpansionSchema)
   }
 }
 
 object GraphStore {
+
+  /** The schema of `kHop` / `frame`: the one a `(Int, Int, Double)` tuple
+    * encoder gives, every column non-nullable.
+    */
+  private val ExpansionSchema: StructType = StructType(Seq(
+    StructField("entity_id", IntegerType, nullable = false),
+    StructField("hop", IntegerType, nullable = false),
+    StructField("path_score", DoubleType, nullable = false)))
 
   /** The undirected weighted CSR over relation rows (src, dst, score); a
     * pair given more than once keeps its max score.

@@ -1,9 +1,11 @@
 package repro.graph
 
+import org.scalacheck.{Gen, Prop, Test}
 import repro.SparkSpec
 import scala.util.Random
 
 class EntityGraphSpec extends SparkSpec {
+  import EntityGraphSpec._
 
   // path 0-1-2-3 plus triangle 1-2-4
   private val edges = Seq((0, 1, 0), (1, 2, 0), (2, 3, 1), (1, 4, 1), (2, 4, 0))
@@ -74,6 +76,29 @@ class EntityGraphSpec extends SparkSpec {
     assert(g.commonNeighbors(0, 3) == 0 && g.jaccard(0, 3) == 0.0)
   }
 
+  test("structural features equal the Set-based definitions bit for bit on random graphs") {
+    val graphs = for {
+      n <- Gen.choose(1, 12)
+      edges <- Gen.listOf(Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1))).map(_.take(30))
+      loops <- Gen.listOf(Gen.choose(0, n - 1)).map(_.take(3).map(u => (u, u)))
+      dupes <- Gen.someOf(edges).map(_.toList.map { case (u, v) => (v, u) })
+      types <- Gen.listOfN(edges.length + loops.length + dupes.length, Gen.choose(0, 2))
+    } yield (n, (edges ++ loops ++ dupes).zip(types).map { case ((u, v), t) => (u, v, t) })
+    val prop = Prop.forAllNoShrink(graphs) { case (n, edges) =>
+      // ids reach n + 2: the last nodes are isolated
+      val g = EntityGraph.fromEdges(edges, n + 2)
+      val wrong = for {
+        u <- 0 until g.n; v <- 0 until g.n
+        got = (g.commonNeighbors(u, v), g.adamicAdar(u, v), g.jaccard(u, v))
+        want = (setCommonNeighbors(g, u, v), setAdamicAdar(g, u, v), setJaccard(g, u, v))
+        if got != want
+      } yield (u, v, got, want)
+      Prop(wrong.isEmpty) :| s"edges $edges: (u, v, got, want) ${wrong.take(3)}"
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(100).withInitialSeed(20230418L), prop)
+    assert(res.passed, res.status)
+  }
+
   test("sampling distribution is roughly uniform over neighbors") {
     val rng = new Random(3)
     val counts = scala.collection.mutable.Map[Int, Int]().withDefaultValue(0)
@@ -83,5 +108,28 @@ class EntityGraphSpec extends SparkSpec {
     }
     assert(counts.keySet.subsetOf(Set(0, 2, 4)))
     counts.values.foreach(c => assert(c > 50, s"skewed sampling: $counts"))
+  }
+}
+
+object EntityGraphSpec {
+
+  /** The structural features as first defined, on Scala `Set`s: the oracles
+    * for `EntityGraph`'s sorted-row versions.
+    */
+  def setCommonNeighbors(g: EntityGraph, u: Int, v: Int): Int = {
+    val su = g.neighborSet(u)
+    g.neighborsOf(v).count(su.contains)
+  }
+
+  def setAdamicAdar(g: EntityGraph, u: Int, v: Int): Double = {
+    val su = g.neighborSet(u)
+    g.neighborsOf(v).filter(su.contains).map(w => 1.0 / math.log(g.degree(w) + math.E)).sum
+  }
+
+  def setJaccard(g: EntityGraph, u: Int, v: Int): Double = {
+    val su = g.neighborSet(u); val sv = g.neighborSet(v)
+    val inter = su.intersect(sv).size
+    val union = su.union(sv).size
+    if (union == 0) 0.0 else inter.toDouble / union
   }
 }

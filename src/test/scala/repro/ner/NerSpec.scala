@@ -73,6 +73,15 @@ class NerSpec extends SparkSpec {
     assert(seq == expected)
   }
 
+  test("a log with no tagged entity extracts no sequences") {
+    // no token of this text is a dict entity name
+    val untagged = BertCrfSim.tag(spark, world, logs.withColumn("text", lit("nothing to see here")))
+    assert(untagged.isEmpty)
+    val seqs = EntitySequenceExtractor.extract(untagged)
+    assert(seqs.schema == EntitySequenceExtractor.extract(BertCrfSim.tag(spark, world, logs)).schema)
+    assert(seqs.isEmpty && EntitySequenceExtractor.flattened(seqs).isEmpty)
+  }
+
   test("window filtering drops days outside the last 30") {
     // shift some rows to day 100 so earlier days fall out of the window
     val shifted = logs.withColumn("day", when(col("day") === 0, 100).otherwise(col("day")))

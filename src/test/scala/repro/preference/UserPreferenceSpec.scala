@@ -2,8 +2,10 @@ package repro.preference
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import scala.util.Random
 
 class UserPreferenceSpec extends SparkSpec {
+  import UserPreferenceSpec._
 
   private lazy val emb = Array(
     Array(1.0, 0.0), Array(0.0, 1.0), Array(1.0, 1.0), Array(2.0, 0.0))
@@ -73,4 +75,69 @@ class UserPreferenceSpec extends SparkSpec {
     val dupes = intercept[IllegalArgumentException](UserPreference.resident(embDf.union(embDf)))
     assert(dupes.getMessage.contains("0,1,2,3"), dupes.getMessage)
   }
+
+  private def randomMatrix(rng: Random, n: Int, dim: Int): Array[Array[Double]] =
+    Array.fill(n, dim)(rng.nextGaussian())
+
+  private def users(vectors: Array[Array[Double]]) =
+    new UserPreference.EmbeddingMatrix(vectors.indices.map(_ * 3 + 1).toArray, vectors, vectors.head.length)
+
+  test("topUsers equals the per-entity mean of dot products on random matrices") {
+    val rng = new Random(7)
+    for (trial <- 0 until 20) {
+      val dim = 1 + rng.nextInt(96)
+      val u = users(randomMatrix(rng, 1 + rng.nextInt(300), dim))
+      val entities = randomMatrix(rng, 1 + rng.nextInt(30), dim).toSeq
+      val k = 1 + rng.nextInt(u.ids.length + 5)
+      val got = UserPreference.topUsers(u, entities, k)
+      val want = perEntityTopUsers(u, entities, k)
+      assert(got.map(_._1).toSeq == want.map(_._1).toSeq, s"trial $trial: id order")
+      got.zip(want).foreach { case ((id, a), (_, b)) =>
+        assert(math.abs(a - b) < 1e-12, s"trial $trial, user $id: $a vs $b")
+      }
+    }
+  }
+
+  test("topUsers with one selected entity is bit-identical to the per-entity loop") {
+    val rng = new Random(8)
+    val u = users(randomMatrix(rng, 200, 96))
+    val e = randomMatrix(rng, 1, 96).toSeq
+    val got = UserPreference.topUsers(u, e, 50)
+    val want = perEntityTopUsers(u, e, 50)
+    assert(got.map(_._1).toSeq == want.map(_._1).toSeq)
+    assert(got.map(x => java.lang.Double.doubleToLongBits(x._2)).toSeq ==
+      want.map(x => java.lang.Double.doubleToLongBits(x._2)).toSeq)
+  }
+
+  test("topUsers with k > #users exports every user once, best first") {
+    val rng = new Random(9)
+    val u = users(randomMatrix(rng, 40, 8))
+    val got = UserPreference.topUsers(u, randomMatrix(rng, 5, 8).toSeq, 100)
+    assert(got.map(_._1).sorted.toSeq == u.ids.toSeq)
+    assert(got.sliding(2).forall(w => w.head._2 >= w.last._2))
+    assert(UserPreference.topUsers(u, Seq.empty, 10).isEmpty && UserPreference.topUsers(u, Seq(u.vectors(0)), 0).isEmpty)
+  }
+}
+
+object UserPreferenceSpec {
+
+  /** Eq. 7 as first implemented: for each user, the mean over the entities
+    * of r_u · h_e, each dot product summed in dimension order; all users
+    * ranked by descending score, then ascending id. The oracle for
+    * `UserPreference.topUsers`.
+    */
+  def perEntityTopUsers(users: UserPreference.EmbeddingMatrix, entities: Seq[Array[Double]],
+                        k: Int): Array[(Int, Double)] =
+    users.ids.indices.map { i =>
+      val u = users.vectors(i)
+      var sum = 0.0
+      entities.foreach { e =>
+        var dot = 0.0
+        var j = 0
+        while (j < u.length) { dot += u(j) * e(j); j += 1 }
+        sum += dot
+      }
+      (users.ids(i), sum / entities.length)
+    }.sortBy { case (id, s) => (-s, id) }(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Int))
+      .take(k).toArray
 }

@@ -114,6 +114,24 @@ class GraphStoreSpec extends SparkSpec {
       assert(hops(reader.kHop(seeds, k)) == hops(writer.kHop(seeds, k)), s"seeds $seeds, k $k")
   }
 
+  test("kHop has the tuple encoder's schema and expand's rows in order") {
+    import spark.implicits._
+    val store = newStore()
+    store.write(edgesDf)
+    val want = Seq.empty[(Int, Int, Double)].toDF("entity_id", "hop", "path_score").schema
+    for (seeds <- Seq(Seq(0), Seq(4, 2), Seq(3, 9, 0)); k <- 0 to 3) {
+      val df = store.kHop(seeds, k)
+      assert(df.schema == want, s"${df.schema.treeString} vs ${want.treeString}")
+      assert(df.schema.forall(!_.nullable))
+      val rows = df.collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2)))
+      assert(rows.toSeq == store.expand(seeds, k).toSeq, s"seeds $seeds, k $k")
+    }
+    assert(store.frame(Array.empty).schema == want && store.frame(Array.empty).isEmpty)
+    // seeds outside the graph come back at hop 0, in id order with the seeds inside it
+    val rows = store.kHop(Seq(12, 0, 7), 1).collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2)))
+    assert(rows.toSeq == Seq((0, 0, 1.0), (7, 0, 1.0), (12, 0, 1.0), (1, 1, 0.9), (5, 1, 0.5)))
+  }
+
   test("kHop with k < 0 fails naming k") {
     val store = newStore()
     store.write(edgesDf)
