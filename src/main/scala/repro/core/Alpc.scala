@@ -17,7 +17,8 @@ import scala.util.Random
   *               the class-balanced prefix of the training pairs;
   *   - `L_cl`:   InfoNCE over semantic anchor pairs ⟨e, e⁺⟩ with in-batch
   *               negatives (eq. 4);
-  * total `L = L_pred + α·L_th + β·L_cl`, α = β = 1 (eq. 5).
+  * total `L = L_pred + α·L_th + β·L_cl` with α = β = 1 (eq. 5), so the
+  * three terms are added unweighted.
   *
   * The ablations of Table II are flags: `useThreshold=false` → ALPC_th-,
   * `useContrastive=false` → ALPC_cl-.
@@ -27,23 +28,30 @@ final case class AlpcConfig(
     layers: Int = 2,
     k: Int = 8,
     epochs: Int = 40,
-    lr: Double = 2e-2,
-    alpha: Double = 1.0,
-    beta: Double = 1.0,
-    tau: Double = 0.2,
-    /** semantic-cosine cut for forming ⟨e, e⁺⟩ anchor pairs */
-    semAnchorThreshold: Double = 0.80,
-    contrastBatch: Int = 128,
-    /** logit-units margin for relation acceptance: keep iff s_uv − ε_u >
-      * margin. The paper's threshold task is explicitly trained to "enlarge
-      * the margin between prediction score s and threshold ε"; the published
-      * graph keeps only relations clearing it.
-      */
-    acceptMargin: Double = 0.75,
     useThreshold: Boolean = true,
     useContrastive: Boolean = true,
     seed: Long = 97L,
 )
+
+object Alpc {
+
+  /** InfoNCE temperature of `L_cl` (eq. 4). */
+  private val Tau = 0.2
+
+  /** semantic-cosine cut for forming ⟨e, e⁺⟩ anchor pairs */
+  private val SemAnchorThreshold = 0.80
+
+  /** Anchor pairs drawn per epoch for `L_cl`'s in-batch negatives. */
+  private val ContrastBatch = 128
+
+  /** logit-units margin for relation acceptance: keep iff s_uv − ε_u >
+    * margin. The paper's threshold task is explicitly trained to "enlarge
+    * the margin between prediction score s and threshold ε"; the published
+    * graph keeps only relations clearing it. The ensemble accepts by the
+    * same margin on its logit.
+    */
+  val AcceptMargin = 0.75
+}
 
 /** The fitted model: frozen embeddings + heads. `score` is σ(s_uv) (AUC
   * metric); `acceptAdaptive` applies the per-source threshold (relation
@@ -55,8 +63,7 @@ final case class AlpcConfig(
   * sizes the GNN cannot reliably learn it from edge labels alone.
   */
 final class AlpcScorer(val z: Tensor, head: Mlp, thHead: Option[Mlp],
-                       structF: (Int, Int) => Array[Double],
-                       acceptMargin: Double = 0.75) extends LinkScorer {
+                       structF: (Int, Int) => Array[Double]) extends LinkScorer {
   private val pairHead = new GnnTraining.PairHeadScorer(Some(z), head, Some(structF))
 
   def logits(pairs: Array[(Int, Int)]): Array[Double] = pairHead.logits(pairs)
@@ -75,7 +82,7 @@ final class AlpcScorer(val z: Tensor, head: Mlp, thHead: Option[Mlp],
   def acceptAdaptive(pairs: Array[(Int, Int)]): Array[Boolean] = {
     val s = logits(pairs)
     val eps = thresholdOf(pairs.map(_._1))
-    Array.tabulate(pairs.length)(i => s(i) - eps(i) > acceptMargin)
+    Array.tabulate(pairs.length)(i => s(i) - eps(i) > Alpc.AcceptMargin)
   }
 
   def acceptAdaptive(u: Int, v: Int): Boolean = acceptAdaptive(Array((u, v)))(0)
@@ -84,6 +91,8 @@ final class AlpcScorer(val z: Tensor, head: Mlp, thHead: Option[Mlp],
 }
 
 final class Alpc(cfg: AlpcConfig = AlpcConfig()) extends LinkPredictor {
+  import Alpc._
+
   val name: String =
     if (!cfg.useThreshold) "ALPC_th-" else if (!cfg.useContrastive) "ALPC_cl-" else "ALPC"
 
@@ -95,10 +104,10 @@ final class Alpc(cfg: AlpcConfig = AlpcConfig()) extends LinkPredictor {
     val withSim = data.trainPos.map { case (u, v) =>
       (u, v, EntityWorld.cosine(data.featSe(u), data.featSe(v)))
     }
-    val strict = withSim.filter(_._3 >= cfg.semAnchorThreshold)
+    val strict = withSim.filter(_._3 >= SemAnchorThreshold)
     val chosen =
-      if (strict.length >= cfg.contrastBatch) strict
-      else withSim.sortBy(-_._3).take(math.max(cfg.contrastBatch, withSim.length / 10))
+      if (strict.length >= ContrastBatch) strict
+      else withSim.sortBy(-_._3).take(math.max(ContrastBatch, withSim.length / 10))
     chosen.map { case (u, v, _) => (u, v) }
   }
 
@@ -130,7 +139,7 @@ final class Alpc(cfg: AlpcConfig = AlpcConfig()) extends LinkPredictor {
     // frozen z is not hostage to one neighbour sample (absolute cuts like ε
     // are sensitive to that shift even though rankings are not)
     val z = GnnTraining.fitEncoder(enc, head.params ++ (if (cfg.useThreshold) thHead.params else Seq.empty),
-        data, cfg.lr, cfg.epochs, cfg.seed, inferenceSamples = 3) { (z, epochRng) => implicit tape =>
+        data, cfg.epochs, cfg.seed, inferenceSamples = 3) { (z, epochRng) => implicit tape =>
       val s = head.forward(GnnTraining.headInput(Some(z), us, vs, structTrain))
       var loss = Ad.bceWithLogits(s, labels)
 
@@ -138,20 +147,20 @@ final class Alpc(cfg: AlpcConfig = AlpcConfig()) extends LinkPredictor {
         val sTh = Ad.gatherRows(s, balanced)
         val eps = thHead.forward(Ad.gatherRows(z, thUs))
         val lTh = Ad.bceWithLogits(Ad.sub(sTh, eps), thLabels)
-        loss = Ad.add(loss, Ad.scale(lTh, cfg.alpha))
+        loss = Ad.add(loss, lTh)
       }
 
       if (cfg.useContrastive && anchors.nonEmpty) {
-        val batch = Array.fill(math.min(cfg.contrastBatch, anchors.length)) {
+        val batch = Array.fill(math.min(ContrastBatch, anchors.length)) {
           anchors(epochRng.nextInt(anchors.length))
         }
         val za = Ad.gatherRows(z, batch.map(_._1))
         val zp = Ad.gatherRows(z, batch.map(_._2))
-        val logits = Ad.scale(Ad.matmul(za, Ad.transpose(zp)), 1.0 / cfg.tau)
-        loss = Ad.add(loss, Ad.scale(Ad.infoNceDiag(logits), cfg.beta))
+        val logits = Ad.scale(Ad.matmul(za, Ad.transpose(zp)), 1.0 / Tau)
+        loss = Ad.add(loss, Ad.infoNceDiag(logits))
       }
       loss
     }
-    new AlpcScorer(z, head, if (cfg.useThreshold) Some(thHead) else None, sf, cfg.acceptMargin)
+    new AlpcScorer(z, head, if (cfg.useThreshold) Some(thHead) else None, sf)
   }
 }

@@ -13,13 +13,10 @@ import scala.util.Random
   * entropy. The fused per-entity embedding h_e (the weekly concat) is what
   * the user-preference module consumes.
   */
-final case class EnsembleConfig(heads: Int = 2, epochs: Int = 30, lr: Double = 2e-2,
-                                maxTrainPairs: Int = 6000, acceptMargin: Double = 0.75,
-                                seed: Long = 101L)
+final case class EnsembleConfig(epochs: Int = 30, maxTrainPairs: Int = 6000, seed: Long = 101L)
 
 final class EnsembleScorer(weekly: Seq[Tensor], mha: MultiHeadAttention, head: Mlp,
-                           tokensPerPair: Int, structF: (Int, Int) => Array[Double],
-                           acceptMargin: Double) extends LinkScorer {
+                           tokensPerPair: Int, structF: (Int, Int) => Array[Double]) extends LinkScorer {
   private val dim = weekly.head.cols
 
   /** Fused embedding h_e: the concatenation of the weekly z_e (eq. 6). */
@@ -34,9 +31,9 @@ final class EnsembleScorer(weekly: Seq[Tensor], mha: MultiHeadAttention, head: M
         GnnTraining.featureRows(structF, pairs))).v.data
     }
 
-  private def keeps(logit: Double): Boolean = logit > acceptMargin
+  private def keeps(logit: Double): Boolean = logit > Alpc.AcceptMargin
 
-  /** Keep (u,v) iff its logit clears the margin. */
+  /** Keep (u,v) iff its logit clears ALPC's accept margin. */
   def accept(pairs: Array[(Int, Int)]): Array[Boolean] = logits(pairs).map(keeps)
   def accept(u: Int, v: Int): Boolean = accept(Array((u, v)))(0)
 
@@ -46,6 +43,9 @@ final class EnsembleScorer(weekly: Seq[Tensor], mha: MultiHeadAttention, head: M
 }
 
 object Ensemble {
+
+  /** Attention heads of the pair-token encoder. */
+  private val Heads = 2
 
   /** Token rows of a batch: per pair [z_u^{t1} … z_u^{tW}, z_v^{t1} … z_v^{tW}]. */
   private[core] def pairTokens(weekly: Seq[Tensor], pairs: Array[(Int, Int)]): Tensor =
@@ -82,7 +82,7 @@ object Ensemble {
     val w = weeklyZ.length
     val tokens = 2 * w
     val rng = new Random(cfg.seed)
-    val mha = new MultiHeadAttention(dim, cfg.heads, rng, "ens.mha")
+    val mha = new MultiHeadAttention(dim, Heads, rng, "ens.mha")
     val head = new Mlp(Seq(headInputDim(tokens, dim), dim, 1), rng, "ens.head")
 
     // the class-balanced pairs ALPC's threshold task also uses (the 0.5 accept
@@ -97,9 +97,9 @@ object Ensemble {
     val x = pairTokens(weeklyZ, pairs)
     val sf = GnnTraining.structFeatures(data.trainGraph) _
     val structT = GnnTraining.featureRows(sf, pairs)
-    GnnTraining.train(mha.params ++ head.params, cfg.lr, cfg.epochs) { _ => implicit tape =>
+    GnnTraining.train(mha.params ++ head.params, cfg.epochs) { _ => implicit tape =>
       Ad.bceWithLogits(head.forward(headInput(mha, Ad.const(x), pairs.length, tokens, dim, structT)), labels)
     }
-    new EnsembleScorer(weeklyZ, mha, head, tokens, sf, cfg.acceptMargin)
+    new EnsembleScorer(weeklyZ, mha, head, tokens, sf)
   }
 }

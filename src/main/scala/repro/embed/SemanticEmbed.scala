@@ -17,7 +17,11 @@ import scala.util.Random
   */
 object SemanticEmbed {
 
-  final case class SemConfig(dim: Int = 16, signal: Double = 0.7, noise: Double = 0.25, seed: Long = 29L)
+  final case class SemConfig(signal: Double = 0.7, noise: Double = 0.25, seed: Long = 29L) {
+
+    /** Width of `E^Se`, the same in every config. */
+    def dim: Int = 16
+  }
 
   def embed(world: EntityWorld, cfg: SemConfig = SemConfig()): Array[Array[Double]] = {
     world.entities.map { e =>

@@ -14,8 +14,13 @@ import scala.util.Random
   */
 object SkipGram {
 
-  final case class SgConfig(dim: Int = 16, window: Int = 2, negatives: Int = 5,
-                            epochs: Int = 3, lr: Double = 0.05, seed: Long = 23L)
+  final case class SgConfig(dim: Int = 16, window: Int = 2, epochs: Int = 3, seed: Long = 23L)
+
+  /** Negative samples per (center, context) pair. */
+  private val Negatives = 5
+
+  /** Initial SGD step, decayed linearly per epoch to a floor of a tenth. */
+  private val LearningRate = 0.05
 
   /** Distributed pair generation: for each user sequence, all (center, context)
     * pairs within `window` positions. Input: (user_id, rank, entity_id) rows.
@@ -62,12 +67,12 @@ object SkipGram {
       val r = new Random(cfg.seed + epoch)
       var i = order.length - 1
       while (i > 0) { val j = r.nextInt(i + 1); val t = order(i); order(i) = order(j); order(j) = t; i -= 1 }
-      val lr = cfg.lr * (1.0 - epoch.toDouble / cfg.epochs).max(0.1)
+      val lr = LearningRate * (1.0 - epoch.toDouble / cfg.epochs).max(0.1)
       order.foreach { pi =>
         val (center, context) = pairRows(pi)
         sgdStep(emb(center), ctx(context), 1.0, lr)
         var n = 0
-        while (n < cfg.negatives) {
+        while (n < Negatives) {
           val neg = sampleNeg()
           if (neg != context) sgdStep(emb(center), ctx(neg), 0.0, lr)
           n += 1

@@ -20,22 +20,26 @@ import scala.util.Random
   */
 object Annotators {
 
-  final case class AnnotatorConfig(
-      nAnnotators: Int = 8,
-      high: Double = 0.70,
-      medium: Double = 0.38,
-      popLeniency: Double = 0.45,
-      noise: Double = 0.08,
-      seed: Long = 223L)
+  final case class AnnotatorConfig(popLeniency: Double = 0.45, seed: Long = 223L)
+
+  /** Panel size (the paper's 8 annotators). */
+  private val NAnnotators = 8
+
+  /** Rating cuts on the perceived relatedness: 1 above `High`, 0.5 above `Medium`. */
+  private val High = 0.70
+  private val Medium = 0.38
+
+  /** σ of each annotator's reading noise. */
+  private val Noise = 0.08
 
   /** Median annotator correlation score ∈ {0, 0.5, 1} for one pair. */
   def judgePair(world: EntityWorld, u: Int, v: Int, cfg: AnnotatorConfig = AnnotatorConfig()): Double = {
     val base = world.relatedness(u, v) +
       cfg.popLeniency * math.pow(world.entities(u).popularity * world.entities(v).popularity, 0.25)
-    val ratings = (0 until cfg.nAnnotators).map { a =>
+    val ratings = (0 until NAnnotators).map { a =>
       val r = new Random(cfg.seed * 7 + a * 7919L + u * 1_000_003L + v)
-      val perceived = base + r.nextGaussian() * cfg.noise
-      if (perceived > cfg.high) 1.0 else if (perceived > cfg.medium) 0.5 else 0.0
+      val perceived = base + r.nextGaussian() * Noise
+      if (perceived > High) 1.0 else if (perceived > Medium) 0.5 else 0.0
     }.sorted
     ratings(ratings.length / 2)
   }

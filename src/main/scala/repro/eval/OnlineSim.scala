@@ -21,17 +21,20 @@ object OnlineSim {
 
   final case class ServiceSpec(name: String, topic: Int, phrases: Seq[String])
 
-  final case class AbConfig(
-      topKUsers: Int = 300,
-      hops: Int = 2,
-      reachability: Double = 0.97,
-      /** conversion model: p = clamp(base + slope·max(affinity,0)³) — cubic
-        * because conversion needs *strong* interest; mild interest mostly
-        * just tolerates the exposure
-        */
-      convBase: Double = 0.02,
-      convSlope: Double = 0.38,
-      seed: Long = 307L)
+  final case class AbConfig(topKUsers: Int = 300, hops: Int = 2)
+
+  /** Share of targeted users who actually see the promotion. */
+  private val Reachability = 0.97
+
+  /** conversion model: p = clamp(base + slope·max(affinity,0)³) — cubic
+    * because conversion needs *strong* interest; mild interest mostly
+    * just tolerates the exposure
+    */
+  private val ConvBase = 0.02
+  private val ConvSlope = 0.38
+
+  /** Seed of the reachability draws. */
+  private val Seed = 307L
 
   final case class AbResult(
       service: String,
@@ -51,9 +54,9 @@ object OnlineSim {
       ServiceSpec(s"service_t$t", t, seeds.toSeq)
     }
 
-  private def convProb(world: EntityWorld, user: Int, topic: Int, cfg: AbConfig): Double = {
+  private def convProb(world: EntityWorld, user: Int, topic: Int): Double = {
     val aff = EntityWorld.cosine(world.users(user).latent, world.topicCentroids(topic))
-    math.min(0.95, cfg.convBase + cfg.convSlope * math.pow(math.max(0.0, aff), 3))
+    math.min(0.95, ConvBase + ConvSlope * math.pow(math.max(0.0, aff), 3))
   }
 
   /** Simulates one arm. Reachability uses common random numbers: whether a
@@ -64,14 +67,13 @@ object OnlineSim {
     * would drown the arm difference in Monte-Carlo noise that the real
     * experiment's scale averages away.
     */
-  private def simulateArm(world: EntityWorld, users: Array[Int], topic: Int,
-                          cfg: AbConfig): (Int, Double) = {
+  private def simulateArm(world: EntityWorld, users: Array[Int], topic: Int): (Int, Double) = {
     var exposed = 0; var converted = 0.0
     users.foreach { u =>
-      val r = new Random(cfg.seed * 31 + u * 7919L + topic)
-      if (r.nextDouble() < cfg.reachability) {
+      val r = new Random(Seed * 31 + u * 7919L + topic)
+      if (r.nextDouble() < Reachability) {
         exposed += 1
-        converted += convProb(world, u, topic, cfg)
+        converted += convProb(world, u, topic)
       }
     }
     (exposed, converted)
@@ -90,8 +92,8 @@ object OnlineSim {
       .groupBy(_.etype).view.mapValues(_.length).maxBy(_._2)._1
     val baseUsers = Targeting.ruleBasedTarget(spark, world, flatSeq, serviceType, cfg.topKUsers)
 
-    val (eglExp, eglConv) = simulateArm(world, eglUsers, spec.topic, cfg)
-    val (baseExp, baseConv) = simulateArm(world, baseUsers, spec.topic, cfg)
+    val (eglExp, eglConv) = simulateArm(world, eglUsers, spec.topic)
+    val (baseExp, baseConv) = simulateArm(world, baseUsers, spec.topic)
     val eglCvr = if (eglExp == 0) 0.0 else eglConv / eglExp
     val baseCvr = if (baseExp == 0) 0.0 else baseConv / baseExp
     def gain(a: Double, b: Double): Double = if (b == 0) 0.0 else (a - b) / b * 100.0

@@ -56,10 +56,11 @@ final class GeniePathEncoder(inDim: Int, val dim: Int, layers: Int, val k: Int, 
     val h0 = input.forward(Ad.const(features))
     var h = h0
     var c = Ad.const(Tensor.zeros(g.n, dim))
+    val selfIdx = Array.tabulate(g.n * k)(_ / k)
     layerParams.foreach { lp =>
       val nbIdx = g.sampleNeighbors(k, epochRng)
       val hnb = Ad.gatherRows(h, nbIdx) // (N*k)×dim
-      val selfProj = Ad.repeatRows(Ad.matmul(h, Ad.leaf(lp.ws)), k)
+      val selfProj = Ad.gatherRows(Ad.matmul(h, Ad.leaf(lp.ws)), selfIdx) // each row k times
       val nbProj = Ad.matmul(hnb, Ad.leaf(lp.wd))
       val e = Ad.matmul(Ad.tanh(Ad.add(selfProj, nbProj)), Ad.leaf(lp.vAttn)) // (N*k)×1
       val attn = Ad.softmaxRows(Ad.reshape(e, g.n, k))
@@ -137,7 +138,8 @@ final class CompGcnEncoder(inDim: Int, val dim: Int, layers: Int, val k: Int,
       (0 until lp.wRel.length).foreach { r =>
         val nbIdx = g.sampleNeighborsOfType(k, r, epochRng)
         val hnb = Ad.gatherRows(h, nbIdx)
-        val composed = Ad.mulRow(hnb, Ad.leaf(lp.relEmb(r)))
+        // every neighbour row times the relation embedding
+        val composed = Ad.hadamard(hnb, Ad.gatherRows(Ad.leaf(lp.relEmb(r)), new Array[Int](hnb.v.rows)))
         val pooled = Ad.attnPool(composed, uniform, k)
         acc = Ad.add(acc, Ad.matmul(pooled, Ad.leaf(lp.wRel(r))))
       }

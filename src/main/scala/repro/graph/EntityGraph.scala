@@ -1,12 +1,11 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
 import scala.util.Random
 
-/** Driver-side CSR adjacency over the entity graph, built from a Spark edge
-  * DataFrame. Spark owns edge *construction* (joins, k-NN, splits); the CSR
-  * is what the GNN trainers iterate over, and what neighbour sampling and
-  * structural features (CN/AA/Jaccard) read.
+/** Driver-side CSR adjacency over the entity graph, built from edge lists
+  * collected on the driver. Spark owns edge *construction* (joins, k-NN,
+  * splits); the CSR is what the GNN trainers iterate over, and what neighbour
+  * sampling and structural features (CN/AA/Jaccard) read.
   *
   * Edges are stored undirected (both directions present). `scores(i)` is the
   * weight of CSR entry i (1.0 for unweighted graphs); `storage.GraphStore`
@@ -121,18 +120,9 @@ final class EntityGraph(val n: Int, val offsets: Array[Int], val neighbors: Arra
 
 object EntityGraph {
 
-  /** Builds the CSR from an undirected edge DataFrame (src, dst[, rel_type]).
-    * Each input edge is materialised in both directions; duplicates are kept
-    * once per (src,dst,rel) triple.
+  /** Builds the CSR from undirected (src, dst, rel_type) edges. Each input
+    * edge is materialised in both directions; duplicates are kept once.
     */
-  def fromEdgeDf(edges: DataFrame, n: Int): EntityGraph = {
-    val hasRel = edges.columns.contains("rel_type")
-    val raw = edges.select("src", "dst" +: (if (hasRel) Seq("rel_type") else Seq.empty): _*)
-      .collect()
-      .map(r => (r.getInt(0), r.getInt(1), if (hasRel) r.getInt(2) else 0))
-    fromEdges(raw, n)
-  }
-
   def fromEdges(edgeList: Seq[(Int, Int, Int)], n: Int): EntityGraph =
     fromScoredEdges(edgeList.map { case (u, v, t) => (u, v, t, 1.0) }, n)
 

@@ -12,6 +12,11 @@ import scala.util.Random
   */
 object GnnTraining {
 
+  /** The Adam learning rate of every neural link predictor, ALPC and the
+    * ensemble included.
+    */
+  private val LearningRate = 2e-2
+
   /** Pair-head input [z_u ‖ z_v ‖ z_u∘z_v]: the element-wise interaction term
     * lets the scoring MLP express similarity directly instead of having to
     * learn it from the raw concat — essential for convergence at our epoch
@@ -61,8 +66,8 @@ object GnnTraining {
     * then zeroGrad → backward → Adam step. Adam clips by the global gradient
     * norm, summed over `params` in the order given.
     */
-  def train(params: Seq[Param], lr: Double, epochs: Int)(loss: Int => Tape => Node): Unit = {
-    val opt = new Adam(params, lr)
+  def train(params: Seq[Param], epochs: Int)(loss: Int => Tape => Node): Unit = {
+    val opt = new Adam(params, LearningRate)
     var e = 0
     while (e < epochs) {
       val tape = new Tape
@@ -77,11 +82,11 @@ object GnnTraining {
     * `Random(seed + epoch)`, and returns the frozen inference embedding: the
     * mean of `inferenceSamples` forwards seeded `seed - 1, seed - 2, …`.
     */
-  def fitEncoder(enc: GraphEncoder, headParams: Seq[Param], data: LinkPredData, lr: Double,
+  def fitEncoder(enc: GraphEncoder, headParams: Seq[Param], data: LinkPredData,
                  epochs: Int, seed: Long, inferenceSamples: Int = 1)
                 (loss: (Node, Random) => Tape => Node): Tensor = {
     val feats = Tensor.fromRows(data.features.toIndexedSeq)
-    train(enc.params ++ headParams, lr, epochs) { e => implicit tape =>
+    train(enc.params ++ headParams, epochs) { e => implicit tape =>
       val epochRng = new Random(seed + e)
       loss(enc.forward(feats, data.trainGraph, epochRng), epochRng)(tape)
     }
@@ -98,14 +103,14 @@ object GnnTraining {
     * the BCE prediction loss alone (eq. 2).
     */
   def fitPairHead(enc: GraphEncoder, pairFeatures: Option[(Int, Int) => Array[Double]],
-                  data: LinkPredData, hidden: Int, lr: Double, epochs: Int, seed: Long,
+                  data: LinkPredData, hidden: Int, epochs: Int, seed: Long,
                   rng: Random, name: String): LinkScorer = {
     val us = data.trainPairs.map(_._1)
     val vs = data.trainPairs.map(_._2)
     val labels = data.trainLabels
     val feats = pairFeatures.map(featureRows(_, data.trainPairs))
     val head = new Mlp(Seq(pairInputDim(enc.outDim) + feats.fold(0)(_.cols), hidden, 1), rng, name)
-    val z = fitEncoder(enc, head.params, data, lr, epochs, seed) { (z, _) => implicit tape =>
+    val z = fitEncoder(enc, head.params, data, epochs, seed) { (z, _) => implicit tape =>
       Ad.bceWithLogits(head.forward(headInput(Some(z), us, vs, feats)), labels)
     }
     new PairHeadScorer(Some(z), head, pairFeatures)
@@ -115,31 +120,31 @@ object GnnTraining {
 /** GeniePath link predictor — the paper's backbone trained with only the BCE
   * prediction loss (eq. 2); also the encoder ALPC builds on.
   */
-final class GeniePathLP(dim: Int = 32, layers: Int = 2, k: Int = 8,
-                        epochs: Int = 40, lr: Double = 2e-2, seed: Long = 71L) extends LinkPredictor {
+final class GeniePathLP(dim: Int = 32, layers: Int = 2, k: Int = 8, epochs: Int = 40) extends LinkPredictor {
   val name = "Geniepath"
   def fit(data: LinkPredData): LinkScorer = {
-    val rng = new Random(seed)
+    val rng = new Random(GeniePathLP.Seed)
     val enc = new GeniePathEncoder(data.features.head.length, dim, layers, k, rng)
-    GnnTraining.fitPairHead(enc, None, data, dim, lr, epochs, seed, rng, "gp.head")
+    GnnTraining.fitPairHead(enc, None, data, dim, epochs, GeniePathLP.Seed, rng, "gp.head")
   }
 }
+
+object GeniePathLP { private val Seed = 71L }
 
 /** VGAE (Kipf & Welling, 2016): graph-conv encoder + inner-product decoder,
   * trained on edge reconstruction. We use the deterministic autoencoder
   * variant (no reparameterisation) — the KL term is irrelevant to ranking at
   * this scale and the decoder/objective are unchanged.
   */
-final class Vgae(dim: Int = 32, layers: Int = 2, k: Int = 8,
-                 epochs: Int = 40, lr: Double = 2e-2, seed: Long = 73L) extends LinkPredictor {
+final class Vgae(dim: Int = 32, layers: Int = 2, k: Int = 8, epochs: Int = 40) extends LinkPredictor {
   val name = "VGAE"
   def fit(data: LinkPredData): LinkScorer = {
-    val rng = new Random(seed)
+    val rng = new Random(Vgae.Seed)
     val enc = new MeanSageEncoder(data.features.head.length, dim, layers, k, rng, finalAct = "linear")
     val us = data.trainPairs.map(_._1)
     val vs = data.trainPairs.map(_._2)
     val labels = data.trainLabels
-    val z = GnnTraining.fitEncoder(enc, Seq.empty, data, lr, epochs, seed) { (z, _) => implicit tape =>
+    val z = GnnTraining.fitEncoder(enc, Seq.empty, data, epochs, Vgae.Seed) { (z, _) => implicit tape =>
       Ad.bceWithLogits(Ad.rowDot(Ad.gatherRows(z, us), Ad.gatherRows(z, vs)), labels)
     }
     // the decoder is the raw inner product: an uncalibrated embedding scorer
@@ -147,34 +152,38 @@ final class Vgae(dim: Int = 32, layers: Int = 2, k: Int = 8,
   }
 }
 
+object Vgae { private val Seed = 73L }
+
 /** CompGCN (Vashishth et al., 2019) over the two candidate-edge relation
   * types (co-occurrence / semantic), `mult` composition, MLP pair head.
   */
-final class CompGcnLP(dim: Int = 32, layers: Int = 2, k: Int = 8,
-                      epochs: Int = 40, lr: Double = 2e-2, seed: Long = 79L) extends LinkPredictor {
+final class CompGcnLP(dim: Int = 32, layers: Int = 2, k: Int = 8, epochs: Int = 40) extends LinkPredictor {
   val name = "CompGCN"
   def fit(data: LinkPredData): LinkScorer = {
-    val rng = new Random(seed)
+    val rng = new Random(CompGcnLP.Seed)
     val enc = new CompGcnEncoder(data.features.head.length, dim, layers, k, nRels = 2, rng)
-    GnnTraining.fitPairHead(enc, None, data, dim, lr, epochs, seed, rng, "cgcn.head")
+    GnnTraining.fitPairHead(enc, None, data, dim, epochs, CompGcnLP.Seed, rng, "cgcn.head")
   }
 }
+
+object CompGcnLP { private val Seed = 79L }
 
 /** PaGNN (Yang et al., ECML-PKDD 2021) — reduced faithful variant: a sampled
   * GNN encoder plus an *interactive* pair head that sees the element-wise
   * interaction z_u∘z_v and pairwise structural signals (the broadcast/
   * aggregate interaction of the full model collapsed into pair features).
   */
-final class PaGnn(dim: Int = 32, layers: Int = 2, k: Int = 8,
-                  epochs: Int = 40, lr: Double = 2e-2, seed: Long = 83L) extends LinkPredictor {
+final class PaGnn(dim: Int = 32, layers: Int = 2, k: Int = 8, epochs: Int = 40) extends LinkPredictor {
   val name = "PaGNN"
   def fit(data: LinkPredData): LinkScorer = {
-    val rng = new Random(seed)
+    val rng = new Random(PaGnn.Seed)
     val enc = new MeanSageEncoder(data.features.head.length, dim, layers, k, rng)
     GnnTraining.fitPairHead(enc, Some(GnnTraining.structFeatures(data.trainGraph) _), data,
-      dim, lr, epochs, seed, rng, "pagnn.head")
+      dim, epochs, PaGnn.Seed, rng, "pagnn.head")
   }
 }
+
+object PaGnn { private val Seed = 83L }
 
 /** SEAL (Zhang & Chen, NeurIPS 2018) — reduced faithful variant: instead of
   * extracting an enclosing subgraph per link and running a DGCNN, we feed the
@@ -183,7 +192,7 @@ final class PaGnn(dim: Int = 32, layers: Int = 2, k: Int = 8,
   * similarities to an MLP. Captures SEAL's "structure around the pair"
   * signal at a fraction of the cost.
   */
-final class Seal(hidden: Int = 16, epochs: Int = 200, lr: Double = 2e-2, seed: Long = 89L) extends LinkPredictor {
+final class Seal(epochs: Int = 200, seed: Long = 89L) extends LinkPredictor {
   val name = "SEAL"
 
   private def pairFeatures(data: LinkPredData)(u: Int, v: Int): Array[Double] =
@@ -195,12 +204,14 @@ final class Seal(hidden: Int = 16, epochs: Int = 200, lr: Double = 2e-2, seed: L
   def fit(data: LinkPredData): LinkScorer = {
     val rng = new Random(seed)
     val pf = pairFeatures(data) _
-    val head = new Mlp(Seq(6, hidden, 1), rng, "seal")
+    val head = new Mlp(Seq(6, Seal.Hidden, 1), rng, "seal")
     val x = GnnTraining.featureRows(pf, data.trainPairs)
     val labels = data.trainLabels
-    GnnTraining.train(head.params, lr, epochs) { _ => implicit tape =>
+    GnnTraining.train(head.params, epochs) { _ => implicit tape =>
       Ad.bceWithLogits(head.forward(Ad.const(x)), labels)
     }
     new GnnTraining.PairHeadScorer(None, head, Some(pf))
   }
 }
+
+object Seal { private val Hidden = 16 }

@@ -25,11 +25,14 @@ trait LinkPredictor {
   * probability-scale output comparable with the GNNs' sigmoid heads.
   */
 object Calibration {
-  def fit(raw: Array[Double], labels: Array[Double], iters: Int = 300, lr: Double = 0.5): (Double, Double) = {
+  private val Iters = 300
+  private val Lr = 0.5
+
+  def fit(raw: Array[Double], labels: Array[Double]): (Double, Double) = {
     var a = 1.0; var b = 0.0
     val n = raw.length
     var it = 0
-    while (it < iters) {
+    while (it < Iters) {
       var ga = 0.0; var gb = 0.0
       var i = 0
       while (i < n) {
@@ -38,7 +41,7 @@ object Calibration {
         ga += d * raw(i); gb += d
         i += 1
       }
-      a -= lr * ga / n; b -= lr * gb / n
+      a -= Lr * ga / n; b -= Lr * gb / n
       it += 1
     }
     (a, b)

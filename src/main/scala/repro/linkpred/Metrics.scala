@@ -1,6 +1,6 @@
 package repro.linkpred
 
-/** Ranking/classification metrics for link prediction. */
+/** Ranking metrics for link prediction. */
 object Metrics {
 
   /** Area under the ROC curve from positive/negative score samples
@@ -26,38 +26,5 @@ object Metrics {
     val nPos = posScores.length.toDouble
     val nNeg = negScores.length.toDouble
     (posRankSum - nPos * (nPos + 1) / 2) / (nPos * nNeg)
-  }
-
-  /** Classification accuracy of scores against labels at `threshold`. */
-  def accuracy(scores: Array[Double], labels: Array[Double], threshold: Double = 0.5): Double = {
-    require(scores.length == labels.length && scores.nonEmpty, "accuracy: bad inputs")
-    scores.zip(labels).count { case (s, y) => (s >= threshold) == (y >= 0.5) }.toDouble / scores.length
-  }
-
-  /** Threshold maximising accuracy on (scores, labels) — used to calibrate
-    * baselines that have no native decision threshold, so every method gets
-    * its best global cut before annotator evaluation (fair to ALPC's
-    * *adaptive* threshold, which beats any single global cut).
-    */
-  def bestGlobalThreshold(scores: Array[Double], labels: Array[Double]): Double = {
-    require(scores.length == labels.length && scores.nonEmpty, "bestGlobalThreshold: bad inputs")
-    // sort-and-sweep: at threshold t, correct = (#pos with s ≥ t) + (#neg with s < t)
-    val sorted = scores.zip(labels).sortBy(_._1)
-    val n = sorted.length
-    val totalPos = labels.count(_ >= 0.5)
-    // posBelow(i) = positives among the first i sorted items
-    var posBelow = 0
-    var best = sorted.head._1; var bestCorrect = -1
-    var i = 0
-    while (i < n) {
-      // threshold at sorted(i)._1: items [i, n) predicted positive
-      if (i == 0 || sorted(i)._1 != sorted(i - 1)._1) {
-        val correct = (totalPos - posBelow) + (i - posBelow)
-        if (correct > bestCorrect) { bestCorrect = correct; best = sorted(i)._1 }
-      }
-      if (sorted(i)._2 >= 0.5) posBelow += 1
-      i += 1
-    }
-    best
   }
 }

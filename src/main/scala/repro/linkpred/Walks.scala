@@ -118,27 +118,44 @@ object EmbeddingScorer {
 
 /** DeepWalk (Perozzi et al., KDD'14): uniform walks + SGNS. */
 final class DeepWalk(dim: Int = 32, walksPerNode: Int = 8, walkLen: Int = 10,
-                     window: Int = 3, epochs: Int = 2, seed: Long = 61L) extends LinkPredictor {
+                     epochs: Int = 2) extends LinkPredictor {
+  import DeepWalk._
   val name = "DeepWalk"
   def fit(data: LinkPredData): LinkScorer = {
-    val rng = new Random(seed)
+    val rng = new Random(Seed)
     val walks = Walks.uniformWalks(data.trainGraph, walksPerNode, walkLen, rng)
-    val pairs = Walks.toPairs(walks, window)
-    val emb = SkipGram.trainOnPairs(pairs, data.n, SkipGram.SgConfig(dim = dim, epochs = epochs, seed = seed))
+    val pairs = Walks.toPairs(walks, Window)
+    val emb = SkipGram.trainOnPairs(pairs, data.n, SkipGram.SgConfig(dim = dim, epochs = epochs, seed = Seed))
     EmbeddingScorer.calibrated(emb, data)
   }
 }
 
+object DeepWalk {
+  private val Window = 3
+  private val Seed = 61L
+}
+
 /** Node2Vec (Grover & Leskovec, KDD'16): (p,q)-biased walks + SGNS. */
 final class Node2Vec(dim: Int = 32, walksPerNode: Int = 8, walkLen: Int = 10,
-                     window: Int = 3, p: Double = 0.5, q: Double = 2.0,
-                     epochs: Int = 2, seed: Long = 67L) extends LinkPredictor {
+                     epochs: Int = 2) extends LinkPredictor {
+  import Node2Vec._
   val name = "Node2Vec"
   def fit(data: LinkPredData): LinkScorer = {
-    val rng = new Random(seed)
-    val walks = Walks.biasedWalks(data.trainGraph, walksPerNode, walkLen, p, q, rng)
-    val pairs = Walks.toPairs(walks, window)
-    val emb = SkipGram.trainOnPairs(pairs, data.n, SkipGram.SgConfig(dim = dim, epochs = epochs, seed = seed))
+    val rng = new Random(Seed)
+    val walks = Walks.biasedWalks(data.trainGraph, walksPerNode, walkLen, P, Q, rng)
+    val pairs = Walks.toPairs(walks, Window)
+    val emb = SkipGram.trainOnPairs(pairs, data.n, SkipGram.SgConfig(dim = dim, epochs = epochs, seed = Seed))
     EmbeddingScorer.calibrated(emb, data)
   }
+}
+
+object Node2Vec {
+  private val Window = 3
+
+  /** Return (p) and in-out (q) parameters of the biased walk: p < 1 favours
+    * stepping back, q > 1 keeps walks near their start.
+    */
+  private val P = 0.5
+  private val Q = 2.0
+  private val Seed = 67L
 }

@@ -180,33 +180,6 @@ object Ad {
     }
   }
 
-  /** Repeats each row of `a` `k` times (row i → rows i*k..i*k+k-1). */
-  def repeatRows(a: Node, k: Int)(implicit t: Tape): Node = {
-    val c = a.v.cols
-    val out = Tensor.zeros(a.v.rows * k, c)
-    var r = 0
-    while (r < a.v.rows) {
-      var j = 0
-      while (j < k) { System.arraycopy(a.v.data, r * c, out.data, (r * k + j) * c, c); j += 1 }
-      r += 1
-    }
-    op(out, a) { node =>
-      val ag = a.grad.data
-      val og = node.g.data
-      var r = 0
-      while (r < a.v.rows) {
-        var j = 0
-        while (j < k) {
-          val src = (r * k + j) * c
-          var cc = 0
-          while (cc < c) { ag(r * c + cc) += og(src + cc); cc += 1 }
-          j += 1
-        }
-        r += 1
-      }
-    }
-  }
-
   /** Reinterprets an (r*k)×1 column as r×k (same backing order). */
   def reshape(a: Node, rows: Int, cols: Int)(implicit t: Tape): Node = {
     require(rows * cols == a.v.rows * a.v.cols, "reshape size mismatch")
@@ -357,35 +330,6 @@ object Ad {
 
   def transpose(a: Node)(implicit t: Tape): Node =
     op(a.v.t, a)(out => a.grad.addInPlace(out.g.t))
-
-  /** Broadcast-multiply every row of `a` by a 1×c row vector. */
-  def mulRow(a: Node, row: Node)(implicit t: Tape): Node = {
-    require(row.v.rows == 1 && row.v.cols == a.v.cols, "mulRow shape mismatch")
-    val c = a.v.cols
-    val (av, rv) = (a.v.data, row.v.data)
-    val out = Tensor.zeros(a.v.rows, c)
-    var r = 0
-    while (r < a.v.rows) {
-      var j = 0
-      while (j < c) { out.data(r * c + j) = av(r * c + j) * rv(j); j += 1 }
-      r += 1
-    }
-    op(out, a, row) { node =>
-      val og = node.g.data
-      val ag = if (a.requiresGrad) a.grad.data else null
-      val rg = if (row.requiresGrad) row.grad.data else null
-      var r = 0
-      while (r < a.v.rows) {
-        var j = 0
-        while (j < c) {
-          if (ag != null) ag(r * c + j) += og(r * c + j) * rv(j)
-          if (rg != null) rg(j) += og(r * c + j) * av(r * c + j)
-          j += 1
-        }
-        r += 1
-      }
-    }
-  }
 
   def mean(a: Node)(implicit t: Tape): Node = {
     val n = a.v.rows * a.v.cols

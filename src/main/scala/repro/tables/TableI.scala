@@ -17,38 +17,38 @@ import repro.world.{BehaviorGen, EntityWorld, WorldConfig}
   */
 object TableI {
 
-  final case class Scale(
-      world: WorldConfig = WorldConfig(nEntities = 800, nTopics = 16, nUsers = 300),
-      trmp: Trmp.TrmpConfig = Trmp.TrmpConfig(
-        logCfg = BehaviorGen.LogConfig(days = 20, sessionsPerDay = 2, mentionsPerSession = 5),
-        candCfg = CandidateGeneration.CandConfig(topKCooc = 12, topKSem = 8),
-        sgCfg = SkipGram.SgConfig(dim = 16, epochs = 2),
-        // few epochs on purpose: the ranking stage's labels are the candidate
-        // edges themselves, so a long-trained model memorises the wrong ones
-        // instead of letting graph smoothness filter them out
-        alpcCfg = AlpcConfig(dim = 16, layers = 2, k = 6, epochs = 15),
-        ensCfg = EnsembleConfig(epochs = 25, maxTrainPairs = 4000),
-        weeks = 6, ensembleWindow = 3),
-      annotators: Annotators.AnnotatorConfig = Annotators.AnnotatorConfig(),
-      judgeSample: Int = 1500,
-      /** metrics use only weeks with a full ensemble window (steady state) */
-      steadyStateWeeks: Int = 4)
+  private val World = WorldConfig(nEntities = 800, nTopics = 16, nUsers = 300)
+  private val TrmpCfg = Trmp.TrmpConfig(
+    logCfg = BehaviorGen.LogConfig(days = 20, sessionsPerDay = 2, mentionsPerSession = 5),
+    candCfg = CandidateGeneration.CandConfig(topKCooc = 12, topKSem = 8),
+    sgCfg = SkipGram.SgConfig(dim = 16, epochs = 2),
+    // few epochs on purpose: the ranking stage's labels are the candidate
+    // edges themselves, so a long-trained model memorises the wrong ones
+    // instead of letting graph smoothness filter them out
+    alpcCfg = AlpcConfig(dim = 16, layers = 2, k = 6, epochs = 15),
+    ensCfg = EnsembleConfig(epochs = 25, maxTrainPairs = 4000),
+    weeks = 6, ensembleWindow = 3)
+  private val Panel = Annotators.AnnotatorConfig()
+  private val JudgeSample = 1500
+
+  /** metrics use only weeks with a full ensemble window (steady state) */
+  private val SteadyStateWeeks = 4
 
   /** One output row (ACC/CorS averaged over weeks; variance in pp² of ACC%). */
   final case class Row(stage: String, acc: Double, cors: Double, aeec: Double, varAccPct: Double)
 
   final case class Result(rows: Seq[Row], weeklyAcc: Map[String, Seq[Double]])
 
-  def run(spark: SparkSession, scale: Scale = Scale()): Result = {
-    val world = new EntityWorld(scale.world)
-    val result = Trmp.run(spark, world, scale.trmp)
-    val n = scale.world.nEntities
+  def run(spark: SparkSession): Result = {
+    val world = new EntityWorld(World)
+    val result = Trmp.run(spark, world, TrmpCfg)
+    val n = World.nEntities
 
     // per-week relations per stage; metrics over the trailing steady-state
     // weeks only, so early weeks with a padded ensemble window don't distort
     // the variance comparison
     val stageNames = Seq("popularity", "candidate", "ranked", "ensemble")
-    val steady = result.weekly.takeRight(scale.steadyStateWeeks)
+    val steady = result.weekly.takeRight(SteadyStateWeeks)
     val weeklyPairs: Seq[Map[String, Array[(Int, Int)]]] = steady.map { wr =>
       val ens = result.ensembles.find(_._1 == wr.week).map(_._2)
       val base = Trmp.stageRelations(wr, ens)
@@ -61,23 +61,20 @@ object TableI {
       base + ("popularity" -> pop)
     }
 
-    val weeklyAcc: Map[String, Seq[Double]] = stageNames.map { s =>
+    // the panel judges each (stage, week) relation set once
+    val judged: Map[String, Seq[Annotators.Judged]] = stageNames.map { s =>
       s -> weeklyPairs.zipWithIndex.map { case (m, w) =>
-        Annotators.evaluate(world, m(s),
-          scale.annotators.copy(seed = scale.annotators.seed + w), scale.judgeSample).acc
+        Annotators.evaluate(world, m(s), Panel.copy(seed = Panel.seed + w), JudgeSample)
       }
     }.toMap
+    val weeklyAcc = stageNames.map(s => s -> judged(s).map(_.acc)).toMap
     val rows = stageNames.map { s =>
-      val judged = weeklyPairs.zipWithIndex.map { case (m, w) =>
-        Annotators.evaluate(world, m(s),
-          scale.annotators.copy(seed = scale.annotators.seed + w), scale.judgeSample)
-      }
       val accs = weeklyAcc(s).map(_ * 100)
       val meanAcc = accs.sum / accs.length
       val varAcc = accs.map(a => (a - meanAcc) * (a - meanAcc)).sum / accs.length
       val aeec = weeklyPairs.map(m => Annotators.aeec(m(s).length, n)).sum / weeklyPairs.length
       Row(stageLabel(s), meanAcc / 100,
-        judged.map(_.cors).sum / judged.length, aeec, varAcc)
+        judged(s).map(_.cors).sum / judged(s).length, aeec, varAcc)
     }
     Result(rows, weeklyAcc)
   }

@@ -25,16 +25,18 @@ import repro.world.{BehaviorGen, EntityWorld, WorldConfig}
   */
 object TableII {
 
-  final case class Scale(
-      world: WorldConfig = WorldConfig(nEntities = 1000, nTopics = 20, nUsers = 350),
-      logCfg: BehaviorGen.LogConfig = BehaviorGen.LogConfig(days = 20, sessionsPerDay = 2, mentionsPerSession = 5),
-      candCfg: CandidateGeneration.CandConfig = CandidateGeneration.CandConfig(topKCooc = 12, topKSem = 8),
-      sgCfg: SkipGram.SgConfig = SkipGram.SgConfig(dim = 16, epochs = 2),
-      /** entity-sampling ratios of datasets A, B, C (paper: 113k/42k/92k entities) */
-      ratios: Seq[Double] = Seq(0.95, 0.45, 0.75),
-      dim: Int = 24,
-      epochs: Int = 35,
-      judgeSample: Int = 800)
+  private val World = WorldConfig(nEntities = 1000, nTopics = 20, nUsers = 350)
+  private val LogCfg = BehaviorGen.LogConfig(days = 20, sessionsPerDay = 2, mentionsPerSession = 5)
+  private val CandCfg = CandidateGeneration.CandConfig(topKCooc = 12, topKSem = 8)
+  private val SgCfg = SkipGram.SgConfig(dim = 16, epochs = 2)
+
+  /** entity-sampling ratios of datasets A, B, C (paper: 113k/42k/92k entities) */
+  private val Ratios = Seq(0.95, 0.45, 0.75)
+
+  /** Embedding width and base epoch budget of the neural methods. */
+  private val Dim = 24
+  private val Epochs = 35
+  private val JudgeSample = 800
 
   final case class Cell(auc: Double, acc: Double)
   final case class Result(datasets: Seq[(String, Int, Long)], // name, #entities, #edges
@@ -46,22 +48,22 @@ object TableII {
   /** Builds the master candidate graph once (full stage-I pipeline), then
     * induces each sub-dataset on a sampled entity subset.
     */
-  def run(spark: SparkSession, scale: Scale = Scale()): Result = {
-    val world = new EntityWorld(scale.world)
-    val logs = BehaviorGen.generate(spark, world, scale.logCfg)
+  def run(spark: SparkSession): Result = {
+    val world = new EntityWorld(World)
+    val logs = BehaviorGen.generate(spark, world, LogCfg)
     val tagged = BertCrfSim.tag(spark, world, logs)
     val flat = EntitySequenceExtractor.flattened(EntitySequenceExtractor.extract(tagged)).cache()
-    val embCo = SkipGram.train(spark, flat, scale.world.nEntities, scale.sgCfg)
+    val embCo = SkipGram.train(spark, flat, World.nEntities, SgCfg)
     val embSe = repro.embed.SemanticEmbed.embed(world)
     // collected from the cached frame, which keeps every shuffle partition:
     // uncached, AQE coalesces them and the rows (so each split) come in another order
-    val master = CandidateGeneration.candidateGraph(spark, embCo, embSe, scale.candCfg).cache()
+    val master = CandidateGeneration.candidateGraph(spark, embCo, embSe, CandCfg).cache()
       .collect().map(r => (r.getInt(0), r.getInt(1), r.getInt(3)))
 
     val names = Seq("A", "B", "C")
-    val datasets = names.zip(scale.ratios).map { case (name, ratio) =>
+    val datasets = names.zip(Ratios).map { case (name, ratio) =>
       val rng = new scala.util.Random(1000 + name.hashCode)
-      val keep = (0 until scale.world.nEntities).filter(_ => rng.nextDouble() < ratio)
+      val keep = (0 until World.nEntities).filter(_ => rng.nextDouble() < ratio)
       val remap = keep.zipWithIndex.toMap
       import spark.implicits._
       val edges = master.collect { case (u, v, rel) if remap.contains(u) && remap.contains(v) =>
@@ -75,7 +77,7 @@ object TableII {
 
     val cells = scala.collection.mutable.Map[(String, String), Cell]()
     val dsInfo = datasets.map { case (name, keep, data) =>
-      methods(scale).foreach { m =>
+      methods.foreach { m =>
         val scorer = m.fit(data)
         val testPairs = data.testPos ++ data.testNeg
         val scores = scorer.scoreAll(testPairs)
@@ -85,7 +87,7 @@ object TableII {
           .sortBy(-_._2).take(math.max(1, (data.testPos.length * 0.4).toInt)).map(_._1)
         // judge in *original* entity ids so latent relatedness is looked up right
         val origPairs = predictedPositive.map { case (u, v) => (keep(u), keep(v)) }
-        val acc = Annotators.evaluate(world, origPairs, maxSample = scale.judgeSample).acc
+        val acc = Annotators.evaluate(world, origPairs, maxSample = JudgeSample).acc
         cells((m.name, name)) = Cell(auc, acc)
       }
       (name, keep.length, data.trainPos.length.toLong + data.testPos.length)
@@ -93,21 +95,18 @@ object TableII {
     Result(dsInfo, cells.toMap)
   }
 
-  private def methods(scale: Scale): Seq[LinkPredictor] = {
-    val d = scale.dim; val e = scale.epochs
-    Seq(
-      new DeepWalk(dim = d, epochs = 2),
-      new Node2Vec(dim = d, epochs = 2),
-      new Seal(epochs = 200),
-      new Vgae(dim = d, epochs = e + 20),
-      new GeniePathLP(dim = d, epochs = e),
-      new CompGcnLP(dim = d, epochs = e),
-      new PaGnn(dim = d, epochs = e),
-      new Alpc(AlpcConfig(dim = d, epochs = e + 10)),
-      new Alpc(AlpcConfig(dim = d, epochs = e + 10, useThreshold = false)),
-      new Alpc(AlpcConfig(dim = d, epochs = e + 10, useContrastive = false)),
-    )
-  }
+  private def methods: Seq[LinkPredictor] = Seq(
+    new DeepWalk(dim = Dim, epochs = 2),
+    new Node2Vec(dim = Dim, epochs = 2),
+    new Seal(epochs = 200),
+    new Vgae(dim = Dim, epochs = Epochs + 20),
+    new GeniePathLP(dim = Dim, epochs = Epochs),
+    new CompGcnLP(dim = Dim, epochs = Epochs),
+    new PaGnn(dim = Dim, epochs = Epochs),
+    new Alpc(AlpcConfig(dim = Dim, epochs = Epochs + 10)),
+    new Alpc(AlpcConfig(dim = Dim, epochs = Epochs + 10, useThreshold = false)),
+    new Alpc(AlpcConfig(dim = Dim, epochs = Epochs + 10, useContrastive = false)),
+  )
 
   /** Paper's Table II values (AUC, ACC) per method per dataset. */
   val paper: Map[(String, String), Cell] = Map(

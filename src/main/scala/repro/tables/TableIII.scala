@@ -31,8 +31,10 @@ object TableIII {
         alpcCfg = AlpcConfig(dim = 16, layers = 2, k = 6, epochs = 30),
         ensCfg = EnsembleConfig(epochs = 20, maxTrainPairs = 4000),
         weeks = 2, ensembleWindow = 2),
-      ab: OnlineSim.AbConfig = OnlineSim.AbConfig(topKUsers = 120, hops = 2),
-      nServices: Int = 5)
+      ab: OnlineSim.AbConfig = OnlineSim.AbConfig(topKUsers = 120, hops = 2))
+
+  /** Services run, one per topic from topic 0: as many as the paper reports. */
+  private val NServices = 5
 
   /** The paper's five services for side-by-side printing. */
   final case class PaperRow(service: String, exposure: Double, conversion: Double,
@@ -77,7 +79,7 @@ object TableIII {
     val userEmb = UserPreference.userEmbeddings(lastWeek.sequencesFlat, entityEmb).cache()
     userEmb.count() // materialise the daily job before timing online requests
 
-    val services = OnlineSim.defaultServices(world, 0 until scale.nServices)
+    val services = OnlineSim.defaultServices(world, 0 until NServices)
     val rows = services.map { spec =>
       OnlineSim.runService(spark, world, store, userEmb, entityEmb,
         lastWeek.sequencesFlat, spec, scale.ab)

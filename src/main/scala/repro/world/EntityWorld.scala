@@ -15,26 +15,13 @@ import scala.util.Random
   *
   * @param nEntities number of entities in the Entity Dict
   * @param nTopics   number of latent topics (clusters of related entities)
-  * @param nTypes    entity types in the dict (paper: 26)
   * @param nUsers    number of users emitting behavior logs
-  * @param latentDim dimension of the latent topic space
-  * @param entityNoise σ of per-entity deviation from its topic centroid;
-  *                  controls how crisp "relatedness" is
-  * @param typeNoise probability an entity's dict *type* is mislabelled (a
-  *                  random type). Models the staleness/coarseness of
-  *                  prefabricated tag dictionaries — the reason the paper's
-  *                  rule-based baseline underperforms (Fig. 1a). Latent
-  *                  relatedness is unaffected; only tag-driven logic sees it.
   * @param seed      master seed — the world is fully deterministic in it
   */
 final case class WorldConfig(
     nEntities: Int = 400,
     nTopics: Int = 12,
-    nTypes: Int = 26,
     nUsers: Int = 120,
-    latentDim: Int = 16,
-    entityNoise: Double = 0.35,
-    typeNoise: Double = 0.30,
     seed: Long = 7L,
 )
 
@@ -47,24 +34,25 @@ final case class UserInfo(id: Int, topicMix: Array[Double], latent: Array[Double
 
 /** The materialised world: driver-side arrays + DataFrame views. */
 final class EntityWorld(val cfg: WorldConfig) extends Serializable {
+  import EntityWorld._
   private val rng = new Random(cfg.seed)
 
   /** Unit-norm topic centroids, pairwise quasi-orthogonal. */
   val topicCentroids: Array[Array[Double]] = Array.tabulate(cfg.nTopics) { t =>
     val r = new Random(cfg.seed * 31 + t)
-    EntityWorld.normalize(Array.fill(cfg.latentDim)(r.nextGaussian()))
+    EntityWorld.normalize(Array.fill(LatentDim)(r.nextGaussian()))
   }
 
   val entities: Array[EntityInfo] = Array.tabulate(cfg.nEntities) { i =>
     val topic = i % cfg.nTopics
     val r = new Random(cfg.seed * 131 + i)
     val latent = EntityWorld.normalize(
-      topicCentroids(topic).zip(Array.fill(cfg.latentDim)(r.nextGaussian() * cfg.entityNoise)).map { case (c, n) => c + n })
+      topicCentroids(topic).zip(Array.fill(LatentDim)(r.nextGaussian() * EntityNoise)).map { case (c, n) => c + n })
     // each topic maps onto a couple of dict types; popularity is zipf-in-topic.
-    // With prob typeNoise the tag is wrong — prefabricated dictionaries are
+    // With prob TypeNoise the tag is wrong — prefabricated dictionaries are
     // imprecise, which is what online rule-based targeting suffers from.
-    val cleanType = (topic * 2 + (i / cfg.nTopics) % 2) % cfg.nTypes
-    val etype = if (r.nextDouble() < cfg.typeNoise) r.nextInt(cfg.nTypes) else cleanType
+    val cleanType = (topic * 2 + (i / cfg.nTopics) % 2) % NTypes
+    val etype = if (r.nextDouble() < TypeNoise) r.nextInt(NTypes) else cleanType
     val rankInTopic = i / cfg.nTopics + 1
     val popularity = 1.0 / math.pow(rankInTopic, 1.05)
     EntityInfo(i, s"ent_t${topic}_n$i", etype, topic, latent, popularity)
@@ -80,7 +68,7 @@ final class EntityWorld(val cfg: WorldConfig) extends Serializable {
     var i = 0
     while (i < mix.length) { mix(i) /= z; i += 1 }
     val latent = EntityWorld.normalize(
-      Array.tabulate(cfg.latentDim)(d => (0 until cfg.nTopics).map(t => mix(t) * topicCentroids(t)(d)).sum
+      Array.tabulate(LatentDim)(d => (0 until cfg.nTopics).map(t => mix(t) * topicCentroids(t)(d)).sum
         + r.nextGaussian() * 0.1))
     UserInfo(u, mix, latent)
   }
@@ -101,15 +89,28 @@ final class EntityWorld(val cfg: WorldConfig) extends Serializable {
     import spark.implicits._
     entities.toSeq.map(e => (e.id, e.name, e.etype)).toDF("entity_id", "name", "entity_type")
   }
-
-  /** Per-entity latent topics (test-only introspection; not visible to models). */
-  def entityTopicsDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    entities.toSeq.map(e => (e.id, e.topic)).toDF("entity_id", "topic")
-  }
 }
 
 object EntityWorld {
+
+  /** Entity types in the dict (paper: 26). */
+  private val NTypes = 26
+
+  /** Dimension of the latent topic space. */
+  private val LatentDim = 16
+
+  /** σ of per-entity deviation from its topic centroid; controls how crisp
+    * "relatedness" is.
+    */
+  private val EntityNoise = 0.35
+
+  /** Probability an entity's dict *type* is mislabelled (a random type).
+    * Models the staleness/coarseness of prefabricated tag dictionaries — the
+    * reason the paper's rule-based baseline underperforms (Fig. 1a). Latent
+    * relatedness is unaffected; only tag-driven logic sees it.
+    */
+  private val TypeNoise = 0.30
+
   def normalize(v: Array[Double]): Array[Double] = {
     val n = math.sqrt(v.map(x => x * x).sum)
     if (n == 0) v else v.map(_ / n)

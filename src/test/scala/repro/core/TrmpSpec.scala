@@ -5,6 +5,7 @@ import repro.eval.Annotators
 import repro.world.{EntityWorld, WorldConfig}
 import repro.candidate.CandidateGeneration
 import repro.embed.{SemanticEmbed, SkipGram}
+import repro.linkpred.TestGraphs.bits
 import repro.ner.BertCrfSim
 
 class TrmpSpec extends SparkSpec {
@@ -69,5 +70,17 @@ class TrmpSpec extends SparkSpec {
     val wr = result.weekly.head
     assert(wr.data.featSe(0).length == cfg.semCfg.dim)
     assert(wr.data.featCo(0).length == cfg.sgCfg.dim)
+  }
+
+  test("a week rerun with the same config repeats its candidates, ALPC z and accepted relations") {
+    val first = result.weekly(0)
+    val again = Trmp.runWeek(spark, world, cfg, 0)
+    def edges(wr: Trmp.WeeklyRun) = wr.candidateEdges.collect().toSeq
+      .map(r => (r.getInt(0), r.getInt(1), java.lang.Double.doubleToRawLongBits(r.getDouble(2)), r.getInt(3)))
+      .sorted
+    assert(edges(again) == edges(first))
+    assert(bits(again.alpc.z.data) == bits(first.alpc.z.data))
+    def ranked(wr: Trmp.WeeklyRun) = Trmp.stageRelations(wr, None)("ranked").toSet
+    assert(ranked(again) == ranked(first))
   }
 }

@@ -23,14 +23,6 @@ class EntityGraphSpec extends SparkSpec {
     assert(!g.hasEdge(0, 3))
   }
 
-  test("fromEdgeDf round-trips through a DataFrame") {
-    import spark.implicits._
-    val df = edges.toDF("src", "dst", "rel_type")
-    val g2 = EntityGraph.fromEdgeDf(df, 5)
-    assert(g2.numEdges == g.numEdges)
-    (0 until 5).foreach(u => assert(g2.neighborsOf(u).sorted.sameElements(g.neighborsOf(u).sorted)))
-  }
-
   test("duplicate edges are deduplicated") {
     val g2 = EntityGraph.fromEdges(edges ++ Seq((0, 1, 0), (1, 0, 0)), 5)
     assert(g2.numEdges == 5)

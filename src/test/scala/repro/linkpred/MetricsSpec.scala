@@ -27,20 +27,6 @@ class MetricsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Metrics.auc(Array.empty, Array(0.5)))
   }
 
-  test("accuracy at threshold") {
-    val s = Array(0.9, 0.3, 0.7, 0.2)
-    val y = Array(1.0, 0.0, 0.0, 0.0)
-    assert(Metrics.accuracy(s, y, 0.5) == 0.75)
-    assert(Metrics.accuracy(s, y, 0.95) == 0.75) // all predicted neg → 3/4 right
-  }
-
-  test("bestGlobalThreshold maximises train accuracy") {
-    val s = Array(0.1, 0.2, 0.6, 0.8, 0.9)
-    val y = Array(0.0, 0.0, 1.0, 1.0, 1.0)
-    val t = Metrics.bestGlobalThreshold(s, y)
-    assert(Metrics.accuracy(s, y, t) == 1.0)
-  }
-
   test("calibration maps separable scores to confident probabilities") {
     val raw = Array(-2.0, -1.5, 1.5, 2.0)
     val y = Array(0.0, 0.0, 1.0, 1.0)

@@ -85,11 +85,6 @@ class AutodiffSpec extends AnyFunSuite {
     gradCheck(Seq(a)) { implicit t => Ad.mean(Ad.tanh(Ad.gatherRows(Ad.leaf(a), idx))) }
   }
 
-  test("repeatRows gradient") {
-    val a = p(3, 2, "a")
-    gradCheck(Seq(a)) { implicit t => Ad.mean(Ad.sigmoid(Ad.repeatRows(Ad.leaf(a), 3))) }
-  }
-
   test("reshape gradient") {
     val a = p(6, 1, "a")
     gradCheck(Seq(a)) { implicit t => Ad.mean(Ad.tanh(Ad.reshape(Ad.leaf(a), 2, 3))) }
@@ -103,11 +98,6 @@ class AutodiffSpec extends AnyFunSuite {
   test("transpose gradient") {
     val a = p(3, 4, "a"); val b = p(3, 4, "b")
     gradCheck(Seq(a, b)) { implicit t => Ad.mean(Ad.matmul(Ad.leaf(a), Ad.transpose(Ad.leaf(b)))) }
-  }
-
-  test("mulRow gradient") {
-    val a = p(4, 3, "a"); val r = p(1, 3, "r")
-    gradCheck(Seq(a, r)) { implicit t => Ad.mean(Ad.tanh(Ad.mulRow(Ad.leaf(a), Ad.leaf(r)))) }
   }
 
   test("attnPool gradient") {
