@@ -84,6 +84,7 @@ object Trmp {
     * than `ensembleWindow` are available, so the token count is constant).
     */
   def run(spark: SparkSession, world: EntityWorld, cfg: TrmpConfig = TrmpConfig()): TrmpResult = {
+    require(cfg.weeks >= 1, s"Trmp.run needs at least one week, got weeks = ${cfg.weeks}")
     val weekly = (0 until cfg.weeks).map(w => runWeek(spark, world, cfg, w))
     val ensembles = weekly.map { wr =>
       val window = weekly.filter(x => x.week <= wr.week).takeRight(cfg.ensembleWindow)

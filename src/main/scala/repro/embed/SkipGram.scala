@@ -1,16 +1,17 @@
 package repro.embed
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
 import scala.util.Random
 
 /** Skip-gram with negative sampling (SGNS) over user entity sequences —
   * produces the co-occurrence embedding matrix `E^Co` of TRMP stage I.
   *
-  * (center, context) pairs are built distributed with a Spark self-join over
-  * sequence positions; the embedding table itself is trained on the driver
-  * (the paper's word2vec runs on a parameter server — at our SF the table is
-  * a few thousand rows, so a driver loop is the faithful equivalent).
+  * The (center, context) pairs come from a window slide over each user's
+  * sequence and the embedding table is trained on the driver (the paper's
+  * word2vec runs on a parameter server — at our SF the sequences are a few
+  * tens of thousands of positions and the table a few thousand rows, so a
+  * driver loop is the faithful equivalent).
   */
 object SkipGram {
 
@@ -22,24 +23,57 @@ object SkipGram {
   /** Initial SGD step, decayed linearly per epoch to a floor of a tenth. */
   private val LearningRate = 0.05
 
-  /** Distributed pair generation: for each user sequence, all (center, context)
-    * pairs within `window` positions. Input: (user_id, rank, entity_id) rows.
+  /** (center, context) pairs of every user sequence: each pair of positions
+    * at most `window` ranks apart, in canonical (user, center rank, context
+    * rank) order. Input: (user_id, rank, entity_id) rows with distinct ranks
+    * per user, as `EntitySequenceExtractor.flattened` gives. The rows are
+    * collected (one per sequence position) and a window of `window` slides
+    * over each user's rank-ordered sequence (Mikolov et al., 2013), so the
+    * pairs are the multiset a self-join of `flat` on user within `window`
+    * ranks gives, in an order that does not depend on how Spark lays out
+    * the rows.
     */
+  def pairArray(flat: DataFrame, window: Int): Array[(Int, Int)] = {
+    val rows = flat.select("user_id", "rank", "entity_id").collect()
+      .map(r => (r.getInt(0), r.getInt(1), r.getInt(2)))
+      .sortBy(r => (r._1, r._2))
+    val out = Array.newBuilder[(Int, Int)]
+    var start = 0
+    while (start < rows.length) {
+      val user = rows(start)._1
+      var end = start
+      while (end < rows.length && rows(end)._1 == user) end += 1
+      var i = start
+      while (i < end) {
+        val (_, ri, center) = rows(i)
+        var j = math.max(start, i - window)
+        while (j < math.min(end, i + window + 1)) {
+          val rj = rows(j)._2
+          require(j == i || rj != ri, s"user $user repeats rank $ri in the flattened sequences")
+          if (j != i && math.abs(ri.toLong - rj) <= window) out += ((center, rows(j)._3))
+          j += 1
+        }
+        i += 1
+      }
+      start = end
+    }
+    out.result()
+  }
+
+  private val PairSchema = StructType(Seq(
+    StructField("center", IntegerType, nullable = false),
+    StructField("context", IntegerType, nullable = false)))
+
+  /** `pairArray` as a local relation (center, context), rows in the same order. */
   def pairs(flat: DataFrame, window: Int): DataFrame = {
-    val a = flat.select(col("user_id"), col("rank").as("ra"), col("entity_id").as("center"))
-    val b = flat.select(col("user_id"), col("rank").as("rb"), col("entity_id").as("context"))
-    a.join(b, Seq("user_id"))
-      .filter(col("ra") =!= col("rb") && abs(col("ra") - col("rb")) <= window)
-      .select(col("center"), col("context"))
+    val rows = pairArray(flat, window).map { case (c, x) => Row(c, x) }
+    flat.sparkSession.createDataFrame(java.util.Arrays.asList(rows: _*), PairSchema)
   }
 
   /** Trains SGNS and returns the input-side embedding matrix (nEntities×dim). */
   def train(spark: SparkSession, flat: DataFrame, nEntities: Int,
-            cfg: SgConfig = SgConfig()): Array[Array[Double]] = {
-    val pairRows: Array[(Int, Int)] =
-      pairs(flat, cfg.window).collect().map(r => (r.getInt(0), r.getInt(1)))
-    trainOnPairs(pairRows, nEntities, cfg)
-  }
+            cfg: SgConfig = SgConfig()): Array[Array[Double]] =
+    trainOnPairs(pairArray(flat, cfg.window), nEntities, cfg)
 
   /** Core SGNS loop — exposed separately for unit testing on tiny corpora. */
   def trainOnPairs(pairRows: Array[(Int, Int)], nEntities: Int, cfg: SgConfig): Array[Array[Double]] = {

@@ -1,14 +1,16 @@
 package repro.preference
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoder, Encoders, SparkSession}
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
+import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions._
 
 /** User entity preference (paper §III-C, eq. 7): the user embedding is the
   * element-wise mean of the fused entity embeddings h_e over the user's
   * entity sequence, and the preference score is its dot product with h_e.
   *
-  * The daily user-embedding job is pure DataFrame math (one join and one
-  * groupBy), so it scales the way the paper's batch job does; the Oracle
+  * The daily user-embedding job is pure DataFrame math (one broadcast join
+  * and one groupBy), so it scales the way the paper's batch job does; the Oracle
   * tests check the aggregation against DuckDB SQL. Online requests score
   * against driver-resident copies of the embedding frames (`resident`,
   * `topUsers`); `preferenceScores` is the Spark form of the same scores.
@@ -72,25 +74,71 @@ object UserPreference {
       while (d < mean.length) { mean(d) += e(d); d += 1 }
     }
     for (d <- mean.indices) mean(d) /= entities.length
-    val heap = new java.util.PriorityQueue[(Int, Double)](BestFirst.reverse) // worst on top
+    val heap = new TopK(math.min(k, users.ids.length))
     var i = 0
     while (i < users.ids.length) {
       val u = users.vectors(i)
       var dot = 0.0
       var j = 0
       while (j < u.length) { dot += u(j) * mean(j); j += 1 }
-      val cand = (users.ids(i), dot)
-      if (heap.size < k) heap.add(cand)
-      else if (BestFirst.lt(cand, heap.peek)) { heap.poll(); heap.add(cand) }
+      heap.offer(users.ids(i), dot)
       i += 1
     }
-    heap.toArray(Array.empty[(Int, Double)]).sorted(BestFirst)
+    heap.bestFirst()
   }
 
-  /** (user, score) by descending score, then ascending user id. */
-  private val BestFirst: Ordering[(Int, Double)] = (a, b) => {
-    val c = java.lang.Double.compare(b._2, a._2)
-    if (c != 0) c else Integer.compare(a._1, b._1)
+  /** The best `capacity` (id, score) offers by (-score, id): a binary heap
+    * over primitive arrays with the worst kept entry at the root.
+    */
+  private final class TopK(capacity: Int) {
+    private val ids = new Array[Int](capacity)
+    private val scores = new Array[Double](capacity)
+    private var size = 0
+
+    /** (ia, sa) ranks before (ib, sb): higher score, then lower id. */
+    private def before(ia: Int, sa: Double, ib: Int, sb: Double): Boolean = {
+      val c = java.lang.Double.compare(sb, sa)
+      c < 0 || (c == 0 && ia < ib)
+    }
+
+    def offer(id: Int, score: Double): Unit =
+      if (size < capacity) {
+        var c = size
+        size += 1
+        while (c > 0 && before(ids((c - 1) / 2), scores((c - 1) / 2), id, score)) {
+          val p = (c - 1) / 2
+          ids(c) = ids(p); scores(c) = scores(p); c = p
+        }
+        ids(c) = id; scores(c) = score
+      } else if (capacity > 0 && before(id, score, ids(0), scores(0))) siftDown(id, score, size)
+
+    /** Places (id, score) at the root of the first `n` slots and restores the heap. */
+    private def siftDown(id: Int, score: Double, n: Int): Unit = {
+      var p = 0
+      var done = false
+      while (!done) {
+        val l = 2 * p + 1
+        if (l >= n) done = true
+        else {
+          val r = l + 1
+          val w = if (r < n && before(ids(l), scores(l), ids(r), scores(r))) r else l
+          if (before(ids(w), scores(w), id, score)) done = true
+          else { ids(p) = ids(w); scores(p) = scores(w); p = w }
+        }
+      }
+      ids(p) = id; scores(p) = score
+    }
+
+    /** The kept offers, best first; empties the heap. */
+    def bestFirst(): Array[(Int, Double)] = {
+      val out = new Array[(Int, Double)](size)
+      while (size > 0) {
+        size -= 1
+        out(size) = (ids(0), scores(0))
+        siftDown(ids(size), scores(size), size)
+      }
+      out
+    }
   }
 
   /** Entity embeddings as a DataFrame (entity_id, vec array<double>). */
@@ -102,14 +150,53 @@ object UserPreference {
   /** r_u = Σ_j h_{e_j} / l over the user's entity sequence.
     * Input: flattened sequences (user_id, rank, entity_id) + embeddings.
     * Output: (user_id, vec array<double>).
+    *
+    * The embedding table has one row per entity and the driver builds it, so
+    * it is broadcast into the join; the sequences keep their layout, and a
+    * `flatSeq` already partitioned by user_id (as `EntitySequenceExtractor`
+    * leaves it) is grouped without an exchange. `MeanVector` sums the
+    * vectors of a user in row order and divides by their count.
     */
   def userEmbeddings(flatSeq: DataFrame, embeddings: DataFrame): DataFrame =
     flatSeq
-      .join(embeddings, "entity_id")
+      .join(broadcast(embeddings), "entity_id")
       .groupBy("user_id")
-      .agg(collect_list(col("vec")).as("vecs"))
-      .select(col("user_id"),
-        expr("transform(vecs[0], (_, j) -> aggregate(vecs, 0D, (a, v) -> a + v[j]) / size(vecs))").as("vec"))
+      .agg(MeanVectorUdaf(col("vec")).as("vec"))
+
+  private val MeanVectorUdaf = udaf(MeanVector, ExpressionEncoder[Array[Double]]())
+
+  /** Running element-wise sum of the vectors seen, and their count. */
+  final case class VectorSum(sum: Array[Double], count: Long)
+
+  /** The element-wise mean of equal-width vectors, as a typed aggregate that
+    * keeps (sum, count) per group, so partial aggregation ships one buffer
+    * per group instead of every vector.
+    */
+  object MeanVector extends Aggregator[Array[Double], VectorSum, Array[Double]] {
+    def zero: VectorSum = VectorSum(Array.emptyDoubleArray, 0L)
+
+    def reduce(b: VectorSum, v: Array[Double]): VectorSum = {
+      val sum = if (b.count == 0) new Array[Double](v.length) else b.sum
+      var i = 0
+      while (i < v.length) { sum(i) += v(i); i += 1 }
+      VectorSum(sum, b.count + 1)
+    }
+
+    def merge(a: VectorSum, b: VectorSum): VectorSum =
+      if (b.count == 0) a
+      else if (a.count == 0) b
+      else {
+        val sum = a.sum
+        var i = 0
+        while (i < sum.length) { sum(i) += b.sum(i); i += 1 }
+        VectorSum(sum, a.count + b.count)
+      }
+
+    def finish(b: VectorSum): Array[Double] = b.sum.map(_ / b.count)
+
+    def bufferEncoder: Encoder[VectorSum] = Encoders.product[VectorSum]
+    def outputEncoder: Encoder[Array[Double]] = ExpressionEncoder[Array[Double]]()
+  }
 
   /** s_<u,e> = r_u · h_e for every (user, entity in `entityIds`) pair.
     * Output: (user_id, entity_id, score).

@@ -55,9 +55,7 @@ object TableII {
     val flat = EntitySequenceExtractor.flattened(EntitySequenceExtractor.extract(tagged)).cache()
     val embCo = SkipGram.train(spark, flat, World.nEntities, SgCfg)
     val embSe = repro.embed.SemanticEmbed.embed(world)
-    // collected from the cached frame, which keeps every shuffle partition:
-    // uncached, AQE coalesces them and the rows (so each split) come in another order
-    val master = CandidateGeneration.candidateGraph(spark, embCo, embSe, CandCfg).cache()
+    val master = CandidateGeneration.candidateGraph(spark, embCo, embSe, CandCfg)
       .collect().map(r => (r.getInt(0), r.getInt(1), r.getInt(3)))
 
     val names = Seq("A", "B", "C")

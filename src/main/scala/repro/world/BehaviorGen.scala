@@ -1,6 +1,7 @@
 package repro.world
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{IntegerType, StringType, StructField, StructType}
 import scala.util.Random
 
 /** Generates raw user behavior logs — the stand-in for Alipay search/visit
@@ -40,7 +41,6 @@ object BehaviorGen {
 
   /** Raw behavior rows: (user_id, day, session, text). */
   def generate(spark: SparkSession, world: EntityWorld, logCfg: LogConfig = LogConfig()): DataFrame = {
-    import spark.implicits._
     val cfg = world.cfg
     // group entities by topic with cumulative popularity for weighted draws
     val byTopic: Map[Int, Array[EntityInfo]] =
@@ -68,10 +68,19 @@ object BehaviorGen {
         sb ++= ent.name
         m += 1
       }
-      (u, day, s, sb.toString)
+      Row(u, day, s, sb.toString)
     }
-    rows.toDF("user_id", "day", "session", "text")
+    spark.createDataFrame(java.util.Arrays.asList(rows: _*), Schema)
   }
+
+  /** The schema of `generate`'s rows, the one the `(Int, Int, Int, String)`
+    * tuple encoder gives.
+    */
+  private val Schema = StructType(Seq(
+    StructField("user_id", IntegerType, nullable = false),
+    StructField("day", IntegerType, nullable = false),
+    StructField("session", IntegerType, nullable = false),
+    StructField("text", StringType, nullable = true)))
 
   private def sampleCategorical(probs: Array[Double], r: Random): Int = {
     val x = r.nextDouble()

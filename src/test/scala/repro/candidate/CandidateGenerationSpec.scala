@@ -55,4 +55,28 @@ class CandidateGenerationSpec extends SparkSpec {
     val tailAvg = (78 until 90).map(i => apps.getOrElse(i, 0L)).sum / 12.0
     assert(popularAvg > tailAvg, s"popular=$popularAvg tail=$tailAvg")
   }
+
+  private def bitRows(df: org.apache.spark.sql.DataFrame) = df.collect().toSeq
+    .map(r => (r.getInt(0), r.getInt(1), java.lang.Double.doubleToRawLongBits(r.getDouble(2)), r.getInt(3)))
+
+  /** Coarse vectors, so many cosines tie exactly; one all-zero row. */
+  private lazy val tied = embSe.map(_.map(x => math.rint(x * 2) / 2)).updated(11, Array.fill(embSe.head.length)(0.0))
+
+  test("driver knn = the Spark k-NN job, row for row, ties included") {
+    for (emb <- Seq(embSe, tied); (k, rel) <- Seq((1, 0), (5, 1), (12, 0), (200, 1))) {
+      assert(bitRows(CandidateGeneration.knnEdges(spark, emb, k, rel)) ==
+        bitRows(SparkKnn.knnEdges(spark, emb, k, rel)), s"k $k")
+    }
+    assert(CandidateGeneration.knn(embSe, 0).isEmpty && CandidateGeneration.knn(embSe.take(1), 3).isEmpty)
+  }
+
+  test("candidateGraph = the Spark canonicalising aggregate, sorted by (src, dst)") {
+    for (emb <- Seq(embSe, tied)) {
+      val cfg = CandidateGeneration.CandConfig(topKCooc = 6, topKSem = 5)
+      val coarse = emb.map(_.map(x => math.rint(x * 4) / 4))
+      val got = bitRows(CandidateGeneration.candidateGraph(spark, coarse, emb, cfg))
+      assert(got == bitRows(SparkKnn.candidateGraph(spark, coarse, emb, cfg)).sorted)
+      assert(got.map(e => (e._1, e._2)) == got.map(e => (e._1, e._2)).sorted)
+    }
+  }
 }

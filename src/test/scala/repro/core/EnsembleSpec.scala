@@ -59,4 +59,9 @@ class EnsembleSpec extends SparkSpec {
       new Array[Double](weekly.head.rows * (weekly.head.cols + 1)))
     intercept[IllegalArgumentException](Ensemble.fit(bad, data))
   }
+
+  test("accepted on no candidates is empty") {
+    assert(ens.accepted(Array.empty).isEmpty)
+    assert(ens.logits(Array.empty).isEmpty && ens.accept(Array.empty[(Int, Int)]).isEmpty)
+  }
 }

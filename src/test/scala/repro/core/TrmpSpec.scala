@@ -83,4 +83,30 @@ class TrmpSpec extends SparkSpec {
     def ranked(wr: Trmp.WeeklyRun) = Trmp.stageRelations(wr, None)("ranked").toSet
     assert(ranked(again) == ranked(first))
   }
+
+  test("Trmp.run with no weeks fails naming the value") {
+    val e = intercept[IllegalArgumentException](Trmp.run(spark, world, cfg.copy(weeks = 0)))
+    assert(e.getMessage.contains("weeks = 0"), e.getMessage)
+  }
+
+  test("a week is bit-identical at 1, 7 and 64 shuffle partitions") {
+    val key = "spark.sql.shuffle.partitions"
+    val before = spark.conf.get(key)
+    def week(parts: Int) = {
+      spark.conf.set(key, parts.toString)
+      try Trmp.runWeek(spark, world, cfg, 1) finally spark.conf.set(key, before)
+    }
+    def edges(wr: Trmp.WeeklyRun) = wr.candidateEdges.collect().toSeq
+      .map(r => (r.getInt(0), r.getInt(1), java.lang.Double.doubleToRawLongBits(r.getDouble(2)), r.getInt(3)))
+    def splitOf(wr: Trmp.WeeklyRun) = Seq(wr.data.trainPos, wr.data.trainNeg, wr.data.testPos, wr.data.testNeg)
+      .map(_.toSeq)
+    val ref = week(64)
+    for (parts <- Seq(1, 7)) {
+      val wr = week(parts)
+      assert(edges(wr) == edges(ref), s"$parts partitions: G^C rows")
+      assert(splitOf(wr) == splitOf(ref), s"$parts partitions: split")
+      assert(wr.data.featCo.map(bits(_)).toSeq == ref.data.featCo.map(bits(_)).toSeq, s"$parts partitions: E^Co")
+      assert(bits(wr.alpc.z.data) == bits(ref.alpc.z.data), s"$parts partitions: ALPC z")
+    }
+  }
 }

@@ -100,4 +100,28 @@ class EmbedSpec extends SparkSpec {
     assert(a.sameElements(b))
     assert(math.abs(math.sqrt(a.map(x => x * x).sum) - 1.0) < 1e-9)
   }
+
+  test("window pairs are the self-join's multiset, in (user, center rank, context rank) order") {
+    for (w <- Seq(1, 2, 3)) {
+      val want = SparkSkipGramPairs.pairs(flat, w).collect()
+        .map(r => ((r.getInt(0), r.getInt(1), r.getInt(2)), (r.getInt(3), r.getInt(4))))
+        .sortBy(_._1).map(_._2)
+      val got = SkipGram.pairArray(flat, w)
+      assert(got.length == want.length, s"window $w")
+      assert(got.sameElements(want), s"window $w: pairs differ from the canonical self-join order")
+    }
+    val rows = SkipGram.pairs(flat, 2).collect().map(r => (r.getInt(0), r.getInt(1)))
+    assert(rows.sameElements(SkipGram.pairArray(flat, 2)))
+  }
+
+  test("window pairs do not depend on the row layout; a repeated rank is rejected") {
+    val base = SkipGram.pairArray(flat, 2)
+    assert(SkipGram.pairArray(flat.repartition(7), 2).sameElements(base))
+    assert(SkipGram.pairArray(flat.orderBy(rand(3)), 2).sameElements(base))
+    import spark.implicits._
+    val dup = Seq((1, 0, 5), (1, 0, 6), (2, 0, 7)).toDF("user_id", "rank", "entity_id")
+    val e = intercept[IllegalArgumentException](SkipGram.pairArray(dup, 2))
+    assert(e.getMessage.contains("user 1 repeats rank 0"), e.getMessage)
+    assert(SkipGram.pairArray(flat.limit(0), 2).isEmpty)
+  }
 }

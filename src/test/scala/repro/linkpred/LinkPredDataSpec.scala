@@ -110,4 +110,20 @@ class LinkPredDataSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](repro.nn.Tensor.fromRows(ragged.features.toIndexedSeq))
     assert(e.getMessage.contains("row 7 has 5 values, row 0 has 8"), e.getMessage)
   }
+
+  test("a permuted, re-partitioned G^C gives the same split") {
+    val gc = TestGraphs.tinyCandidates(spark)
+    def split(df: org.apache.spark.sql.DataFrame) = LinkPredData.split(spark, df,
+      TestGraphs.world.cfg.nEntities, TestGraphs.embSe, TestGraphs.embCo, seed = 13)
+    val d = split(gc)
+    val permuted = new scala.util.Random(3).shuffle(gc.collect().toSeq)
+    val d2 = split(spark.createDataFrame(java.util.Arrays.asList(permuted: _*), gc.schema).repartition(5))
+    assert(d2.trainPos.sameElements(d.trainPos) && d2.testPos.sameElements(d.testPos))
+    assert(d2.trainNeg.sameElements(d.trainNeg) && d2.testNeg.sameElements(d.testNeg))
+    // the held-out draw is the keyed hash alone: another seed holds out other edges
+    val d3 = LinkPredData.split(spark, gc, TestGraphs.world.cfg.nEntities, TestGraphs.embSe, TestGraphs.embCo,
+      seed = 14)
+    assert(!d3.testPos.sameElements(d.testPos))
+    d.testPos.foreach { case (u, v) => assert(LinkPredData.testDraw(13, u, v) < 0.10) }
+  }
 }

@@ -137,4 +137,15 @@ class TargetingSpec extends SparkSpec {
     val top = Targeting.ruleBasedTarget(spark, world, flat, serviceType = 0, topKUsers = 2)
     assert(top.head == 0, "heaviest type-hitter should rank first")
   }
+
+  test("k = 0 targets by the seeds alone, end to end") {
+    val seeds = world.entities.filter(_.topic == 2).sortBy(_.id).take(2)
+    val res = Targeting.target(spark, world, store, userEmb, entityEmb, seeds.map(_.name).toSeq, k = 0, topKUsers = 7)
+    val expanded = res.expandedEntities.collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2)))
+    assert(expanded.toSet == seeds.map(e => (e.id, 0, 1.0)).toSet)
+    assert(res.selectedEntities.toSet == seeds.map(_.id).toSet)
+    val entities = UserPreference.resident(entityEmb)
+    val want = UserPreference.topUsers(UserPreference.resident(userEmb), res.selectedEntities.map(entities(_)), 7)
+    assert(res.targetUsers.toSeq == want.toSeq && res.targetUsers.length == 7)
+  }
 }

@@ -117,9 +117,64 @@ class UserPreferenceSpec extends SparkSpec {
     assert(got.sliding(2).forall(w => w.head._2 >= w.last._2))
     assert(UserPreference.topUsers(u, Seq.empty, 10).isEmpty && UserPreference.topUsers(u, Seq(u.vectors(0)), 0).isEmpty)
   }
+
+  test("topUsers equals a full sort by (-score, id) then take(k), tied scores included") {
+    val rng = new Random(11)
+    for (trial <- 0 until 40) {
+      val dim = 1 + rng.nextInt(12)
+      // few distinct rows, repeated: many users tie exactly
+      val distinct = Array.fill(1 + rng.nextInt(6), dim)(rng.nextInt(5) - 2.0)
+      val u = users(Array.fill(1 + rng.nextInt(120))(distinct(rng.nextInt(distinct.length))))
+      val entities = Array.fill(1 + rng.nextInt(4), dim)(rng.nextInt(3) - 1.0).toSeq
+      val k = 1 + rng.nextInt(u.ids.length + 3)
+      val mean = Array.tabulate(dim)(d => entities.map(_(d)).foldLeft(0.0)(_ + _) / entities.length)
+      val want = u.ids.indices.map { i =>
+        var dot = 0.0
+        for (d <- 0 until dim) dot += u.vectors(i)(d) * mean(d)
+        (u.ids(i), dot)
+      }.sortBy { case (id, s) => (-s, id) }(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Int)).take(k)
+      val got = UserPreference.topUsers(u, entities, k)
+      assert(got.map(_._1).toSeq == want.map(_._1), s"trial $trial, k $k: id order")
+      assert(got.map(x => java.lang.Double.doubleToLongBits(x._2)).toSeq ==
+        want.map(x => java.lang.Double.doubleToLongBits(x._2)), s"trial $trial: scores")
+    }
+  }
+
+  test("the broadcast typed-mean daily job = the collect_list job within 1e-12, no exchange on a user-partitioned input") {
+    import spark.implicits._
+    val rng = new Random(12)
+    val nEntities = 40
+    val emb = randomMatrix(rng, nEntities, 24)
+    val rows = (0 until 50).flatMap { u =>
+      (0 until 1 + rng.nextInt(30)).map(r => (u, r, rng.nextInt(nEntities)))
+    }
+    val embDf = UserPreference.embeddingsDf(spark, emb)
+    def vectors(df: org.apache.spark.sql.DataFrame) =
+      df.collect().map(r => r.getInt(0) -> r.getSeq[Double](1).toArray).toMap
+    val byUser = rows.toDF("user_id", "rank", "entity_id").repartition(7, col("user_id")).cache()
+    for (flat <- Seq(byUser, rows.toDF("user_id", "rank", "entity_id").repartition(3))) {
+      val got = vectors(UserPreference.userEmbeddings(flat, embDf))
+      val want = vectors(SparkUserEmbeddings.userEmbeddings(flat, embDf))
+      assert(got.keySet == want.keySet && got.size == 50)
+      got.foreach { case (u, v) =>
+        assert(v.length == 24 && v.indices.forall(j => math.abs(v(j) - want(u)(j)) < 1e-12), s"user $u")
+      }
+    }
+    byUser.count()
+    val job = UserPreference.userEmbeddings(byUser, embDf)
+    job.collect()
+    val shuffles = PlanHelper.collect(job.queryExecution.executedPlan) {
+      case e: org.apache.spark.sql.execution.exchange.ShuffleExchangeLike => e
+    }
+    assert(shuffles.isEmpty, job.queryExecution.executedPlan.toString)
+    byUser.unpersist()
+  }
 }
 
 object UserPreferenceSpec {
+
+  /** Plan traversal through adaptive query stages. */
+  private object PlanHelper extends org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 
   /** Eq. 7 as first implemented: for each user, the mean over the entities
     * of r_u · h_e, each dot product summed in dimension order; all users
