@@ -74,12 +74,6 @@ object CandidateGeneration {
   private def edgeFrame(spark: SparkSession, rows: Seq[(Int, Int, Double, Int)]): DataFrame =
     spark.createDataFrame(java.util.Arrays.asList(rows.map(e => Row(e._1, e._2, e._3, e._4)): _*), EdgeSchema)
 
-  /** `knn` as a local relation (src, dst, sim, rel_type), rows in `knn` order;
-    * src < dst is canonicalised by `candidateGraph`.
-    */
-  def knnEdges(spark: SparkSession, emb: Array[Array[Double]], k: Int, relType: Int): DataFrame =
-    edgeFrame(spark, knn(emb, k).toSeq.map { case (u, v, s) => (u, v, s, relType) })
-
   /** The initial graph G^C: union of co-occurrence and semantic k-NN edges,
     * canonicalised to src < dst with the best sim and min rel_type per pair.
     * Built once on the driver and returned as a local relation sorted by

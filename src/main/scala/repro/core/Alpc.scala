@@ -86,8 +86,6 @@ final class AlpcScorer(val z: Tensor, head: Mlp, thHead: Option[Mlp],
   }
 
   def acceptAdaptive(u: Int, v: Int): Boolean = acceptAdaptive(Array((u, v)))(0)
-
-  def embeddingOf(u: Int): Array[Double] = z.row(u)
 }
 
 final class Alpc(cfg: AlpcConfig = AlpcConfig()) extends LinkPredictor {

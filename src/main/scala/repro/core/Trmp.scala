@@ -63,7 +63,7 @@ object Trmp {
     val tagged = BertCrfSim.tag(spark, world, behaviors, nerCfg)
     val sequences = EntitySequenceExtractor.extract(tagged)
     val flat = EntitySequenceExtractor.flattened(sequences).cache()
-    val embCo = SkipGram.train(spark, flat, world.cfg.nEntities,
+    val embCo = SkipGram.train(flat, world.cfg.nEntities,
       cfg.sgCfg.copy(seed = cfg.sgCfg.seed + week))
     val embSe = SemanticEmbed.embed(world, cfg.semCfg)
     val gc = CandidateGeneration.candidateGraph(spark, embCo, embSe, cfg.candCfg)

@@ -1,7 +1,8 @@
 package repro.embed
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
+import repro.ner.EntitySequenceExtractor
 import scala.util.Random
 
 /** Skip-gram with negative sampling (SGNS) over user entity sequences —
@@ -27,16 +28,14 @@ object SkipGram {
     * at most `window` ranks apart, in canonical (user, center rank, context
     * rank) order. Input: (user_id, rank, entity_id) rows with distinct ranks
     * per user, as `EntitySequenceExtractor.flattened` gives. The rows are
-    * collected (one per sequence position) and a window of `window` slides
-    * over each user's rank-ordered sequence (Mikolov et al., 2013), so the
-    * pairs are the multiset a self-join of `flat` on user within `window`
-    * ranks gives, in an order that does not depend on how Spark lays out
-    * the rows.
+    * collected in (user, rank) order (`EntitySequenceExtractor.sortedRows`,
+    * one per sequence position) and a window of `window` slides over each
+    * user's sequence (Mikolov et al., 2013), so the pairs are the multiset a
+    * self-join of `flat` on user within `window` ranks gives, in an order
+    * that does not depend on how Spark lays out the rows.
     */
   def pairArray(flat: DataFrame, window: Int): Array[(Int, Int)] = {
-    val rows = flat.select("user_id", "rank", "entity_id").collect()
-      .map(r => (r.getInt(0), r.getInt(1), r.getInt(2)))
-      .sortBy(r => (r._1, r._2))
+    val rows = EntitySequenceExtractor.sortedRows(flat)
     val out = Array.newBuilder[(Int, Int)]
     var start = 0
     while (start < rows.length) {
@@ -48,9 +47,7 @@ object SkipGram {
         val (_, ri, center) = rows(i)
         var j = math.max(start, i - window)
         while (j < math.min(end, i + window + 1)) {
-          val rj = rows(j)._2
-          require(j == i || rj != ri, s"user $user repeats rank $ri in the flattened sequences")
-          if (j != i && math.abs(ri.toLong - rj) <= window) out += ((center, rows(j)._3))
+          if (j != i && math.abs(ri.toLong - rows(j)._2) <= window) out += ((center, rows(j)._3))
           j += 1
         }
         i += 1
@@ -71,8 +68,7 @@ object SkipGram {
   }
 
   /** Trains SGNS and returns the input-side embedding matrix (nEntities×dim). */
-  def train(spark: SparkSession, flat: DataFrame, nEntities: Int,
-            cfg: SgConfig = SgConfig()): Array[Array[Double]] =
+  def train(flat: DataFrame, nEntities: Int, cfg: SgConfig = SgConfig()): Array[Array[Double]] =
     trainOnPairs(pairArray(flat, cfg.window), nEntities, cfg)
 
   /** Core SGNS loop — exposed separately for unit testing on tiny corpora. */

@@ -73,7 +73,8 @@ object Targeting {
   /** The rule-based production baseline (paper Fig. 1a, Table III baseline):
     * prefabricated tag/rule targeting — users whose extracted behavior
     * contains entities of the service's *type* often enough. No graph, no
-    * embeddings.
+    * embeddings. Users rank by typed hits, then hit rate, both descending,
+    * then ascending user id, so ties do not depend on the row layout.
     */
   def ruleBasedTarget(spark: SparkSession, world: EntityWorld, flatSeq: DataFrame,
                       serviceType: Int, topKUsers: Int): Array[Int] = {
@@ -86,7 +87,7 @@ object Targeting {
       .groupBy("user_id")
       .agg(sum("hit").as("hits"), count("*").as("total"))
       .withColumn("rate", col("hits") / col("total"))
-      .orderBy(desc("hits"), desc("rate"))
+      .orderBy(desc("hits"), desc("rate"), asc("user_id"))
       .limit(topKUsers)
       .collect()
       .map(_.getInt(0))

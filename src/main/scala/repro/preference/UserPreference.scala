@@ -1,19 +1,20 @@
 package repro.preference
 
-import org.apache.spark.sql.{DataFrame, Encoder, Encoders, SparkSession}
-import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
-import org.apache.spark.sql.expressions.Aggregator
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ArrayType, DoubleType, IntegerType, StructField, StructType}
+import repro.ner.EntitySequenceExtractor
 
 /** User entity preference (paper §III-C, eq. 7): the user embedding is the
   * element-wise mean of the fused entity embeddings h_e over the user's
   * entity sequence, and the preference score is its dot product with h_e.
   *
-  * The daily user-embedding job is pure DataFrame math (one broadcast join
-  * and one groupBy), so it scales the way the paper's batch job does; the Oracle
-  * tests check the aggregation against DuckDB SQL. Online requests score
-  * against driver-resident copies of the embedding frames (`resident`,
-  * `topUsers`); `preferenceScores` is the Spark form of the same scores.
+  * The daily user-embedding job (`userEmbeddings`) runs on the driver, from
+  * the sequence rows and the entity matrix the driver already holds; the
+  * tests check it against a Spark `collect_list` job and DuckDB SQL. Online
+  * requests score against driver-resident copies of the embedding frames
+  * (`resident`, `topUsers`); `preferenceScores` is the Spark form of the same
+  * scores.
   */
 object UserPreference {
 
@@ -147,55 +148,40 @@ object UserPreference {
     emb.zipWithIndex.toSeq.map { case (v, i) => (i, v.toSeq) }.toDF("entity_id", "vec")
   }
 
+  private val UserSchema = StructType(Seq(
+    StructField("user_id", IntegerType, nullable = false),
+    StructField("vec", ArrayType(DoubleType, containsNull = false), nullable = false)))
+
   /** r_u = Σ_j h_{e_j} / l over the user's entity sequence.
-    * Input: flattened sequences (user_id, rank, entity_id) + embeddings.
-    * Output: (user_id, vec array<double>).
+    * Input: flattened sequences (user_id, rank, entity_id) with distinct ranks
+    * per user, and entity embeddings (entity_id, vec).
+    * Output: a local relation (user_id, vec array<double>) by ascending
+    * user_id.
     *
-    * The embedding table has one row per entity and the driver builds it, so
-    * it is broadcast into the join; the sequences keep their layout, and a
-    * `flatSeq` already partitioned by user_id (as `EntitySequenceExtractor`
-    * leaves it) is grouped without an exchange. `MeanVector` sums the
-    * vectors of a user in row order and divides by their count.
+    * The sequences are collected in (user, rank) order
+    * (`EntitySequenceExtractor.sortedRows`) and the vectors are looked up in
+    * the driver-resident entity matrix (`resident`); each user's vectors are
+    * summed in rank order and divided by their count. As in an inner join,
+    * an entity with no embedding row is skipped, and a user with no sequence
+    * rows, or only unembedded entities, gets no row, so `Targeting.target`
+    * never exports that user. An empty `flatSeq` gives an empty frame with
+    * the output schema.
     */
-  def userEmbeddings(flatSeq: DataFrame, embeddings: DataFrame): DataFrame =
-    flatSeq
-      .join(broadcast(embeddings), "entity_id")
-      .groupBy("user_id")
-      .agg(MeanVectorUdaf(col("vec")).as("vec"))
-
-  private val MeanVectorUdaf = udaf(MeanVector, ExpressionEncoder[Array[Double]]())
-
-  /** Running element-wise sum of the vectors seen, and their count. */
-  final case class VectorSum(sum: Array[Double], count: Long)
-
-  /** The element-wise mean of equal-width vectors, as a typed aggregate that
-    * keeps (sum, count) per group, so partial aggregation ships one buffer
-    * per group instead of every vector.
-    */
-  object MeanVector extends Aggregator[Array[Double], VectorSum, Array[Double]] {
-    def zero: VectorSum = VectorSum(Array.emptyDoubleArray, 0L)
-
-    def reduce(b: VectorSum, v: Array[Double]): VectorSum = {
-      val sum = if (b.count == 0) new Array[Double](v.length) else b.sum
-      var i = 0
-      while (i < v.length) { sum(i) += v(i); i += 1 }
-      VectorSum(sum, b.count + 1)
-    }
-
-    def merge(a: VectorSum, b: VectorSum): VectorSum =
-      if (b.count == 0) a
-      else if (a.count == 0) b
-      else {
-        val sum = a.sum
-        var i = 0
-        while (i < sum.length) { sum(i) += b.sum(i); i += 1 }
-        VectorSum(sum, a.count + b.count)
+  def userEmbeddings(flatSeq: DataFrame, embeddings: DataFrame): DataFrame = {
+    val entities = resident(embeddings)
+    val byUser = EntitySequenceExtractor.sortedRows(flatSeq)
+      .flatMap { case (user, _, e) => entities.get(e).map(user -> _) }
+      .groupBy(_._1)
+    val rows = byUser.keys.toArray.sorted.map { user =>
+      val vectors = byUser(user)
+      val sum = new Array[Double](entities.dim)
+      vectors.foreach { case (_, v) =>
+        var d = 0
+        while (d < sum.length) { sum(d) += v(d); d += 1 }
       }
-
-    def finish(b: VectorSum): Array[Double] = b.sum.map(_ / b.count)
-
-    def bufferEncoder: Encoder[VectorSum] = Encoders.product[VectorSum]
-    def outputEncoder: Encoder[Array[Double]] = ExpressionEncoder[Array[Double]]()
+      Row(user, sum.map(_ / vectors.length))
+    }
+    flatSeq.sparkSession.createDataFrame(java.util.Arrays.asList(rows: _*), UserSchema)
   }
 
   /** s_<u,e> = r_u · h_e for every (user, entity in `entityIds`) pair.

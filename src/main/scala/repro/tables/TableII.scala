@@ -53,7 +53,7 @@ object TableII {
     val logs = BehaviorGen.generate(spark, world, LogCfg)
     val tagged = BertCrfSim.tag(spark, world, logs)
     val flat = EntitySequenceExtractor.flattened(EntitySequenceExtractor.extract(tagged)).cache()
-    val embCo = SkipGram.train(spark, flat, World.nEntities, SgCfg)
+    val embCo = SkipGram.train(flat, World.nEntities, SgCfg)
     val embSe = repro.embed.SemanticEmbed.embed(world)
     val master = CandidateGeneration.candidateGraph(spark, embCo, embSe, CandCfg)
       .collect().map(r => (r.getInt(0), r.getInt(1), r.getInt(3)))

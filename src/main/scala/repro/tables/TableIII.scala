@@ -85,8 +85,7 @@ object TableIII {
       z ++ lastWeek.data.featSe(e) ++ lastWeek.data.featCo(e)
     }
     val entityEmb = UserPreference.embeddingsDf(spark, fused).cache()
-    val userEmb = UserPreference.userEmbeddings(lastWeek.sequencesFlat, entityEmb).cache()
-    userEmb.count() // materialise the daily job before timing online requests
+    val userEmb = UserPreference.userEmbeddings(lastWeek.sequencesFlat, entityEmb)
 
     val services = OnlineSim.defaultServices(world, 0 until NServices)
     // the first request pays JIT and the decode of both embedding frames;

@@ -1,6 +1,5 @@
 package repro.world
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.util.Random
 
 /** Configuration of the synthetic "Alipay" universe.
@@ -32,7 +31,7 @@ final case class EntityInfo(id: Int, name: String, etype: Int, topic: Int,
 /** One simulated user: a sparse mixture over topics + a latent vector. */
 final case class UserInfo(id: Int, topicMix: Array[Double], latent: Array[Double])
 
-/** The materialised world: driver-side arrays + DataFrame views. */
+/** The materialised world, as driver-side arrays. */
 final class EntityWorld(val cfg: WorldConfig) extends Serializable {
   import EntityWorld._
   private val rng = new Random(cfg.seed)
@@ -83,12 +82,6 @@ final class EntityWorld(val cfg: WorldConfig) extends Serializable {
 
   private val nameToId: Map[String, Int] = entities.map(e => e.name -> e.id).toMap
   def idOf(name: String): Option[Int] = nameToId.get(name)
-
-  /** The Entity Dict as a DataFrame: (entity_id, name, entity_type). */
-  def entityDictDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    entities.toSeq.map(e => (e.id, e.name, e.etype)).toDF("entity_id", "name", "entity_type")
-  }
 }
 
 object EntityWorld {

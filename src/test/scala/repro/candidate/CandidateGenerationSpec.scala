@@ -10,17 +10,15 @@ class CandidateGenerationSpec extends SparkSpec {
   private lazy val world = new EntityWorld(WorldConfig(nEntities = 90, nTopics = 6, nUsers = 10, seed = 37))
   private lazy val embSe = SemanticEmbed.embed(world, SemanticEmbed.SemConfig(signal = 0.8, noise = 0.1))
 
-  test("knnEdges returns exactly k neighbours per source, no self-edges") {
-    val df = CandidateGeneration.knnEdges(spark, embSe, k = 5, relType = 1).cache()
-    assert(df.count() == 90L * 5)
-    assert(df.filter(col("src") === col("dst")).count() == 0)
-    val perSrc = df.groupBy("src").count().select("count").distinct().collect().map(_.getLong(0))
-    assert(perSrc.sameElements(Array(5L)))
+  test("knn returns exactly k neighbours per source, no self-edges") {
+    val edges = CandidateGeneration.knn(embSe, k = 5)
+    assert(edges.length == 90 * 5)
+    assert(!edges.exists(e => e._1 == e._2))
+    assert(edges.groupBy(_._1).values.map(_.length).toSet == Set(5))
   }
 
   test("knn neighbours are the true cosine top-k") {
-    val df = CandidateGeneration.knnEdges(spark, embSe, k = 3, relType = 0)
-    val got = df.filter(col("src") === 7).select("dst").collect().map(_.getInt(0)).toSet
+    val got = CandidateGeneration.knn(embSe, k = 3).filter(_._1 == 7).map(_._2).toSet
     val expected = (0 until 90).filter(_ != 7)
       .sortBy(j => -EntityWorld.cosine(embSe(7), embSe(j))).take(3).toSet
     assert(got == expected)
@@ -64,8 +62,9 @@ class CandidateGenerationSpec extends SparkSpec {
 
   test("driver knn = the Spark k-NN job, row for row, ties included") {
     for (emb <- Seq(embSe, tied); (k, rel) <- Seq((1, 0), (5, 1), (12, 0), (200, 1))) {
-      assert(bitRows(CandidateGeneration.knnEdges(spark, emb, k, rel)) ==
-        bitRows(SparkKnn.knnEdges(spark, emb, k, rel)), s"k $k")
+      val got = CandidateGeneration.knn(emb, k).toSeq
+        .map { case (u, v, sim) => (u, v, java.lang.Double.doubleToRawLongBits(sim), rel) }
+      assert(got == bitRows(SparkKnn.knnEdges(spark, emb, k, rel)), s"k $k")
     }
     assert(CandidateGeneration.knn(embSe, 0).isEmpty && CandidateGeneration.knn(embSe.take(1), 3).isEmpty)
   }

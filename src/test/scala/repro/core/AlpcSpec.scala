@@ -64,7 +64,7 @@ class AlpcSpec extends SparkSpec {
 
   test("embeddings have encoder output width and are finite") {
     assert(scorer.z.cols == 2 * 16)
-    assert(scorer.embeddingOf(0).length == 32)
+    assert(scorer.z.row(0).length == 32)
     assert(scorer.z.data.forall(x => !x.isNaN && !x.isInfinite))
   }
 

@@ -35,7 +35,7 @@ class EmbedSpec extends SparkSpec {
   }
 
   test("SGNS embeddings cluster by topic") {
-    val emb = SkipGram.train(spark, flat, world.cfg.nEntities,
+    val emb = SkipGram.train(flat, world.cfg.nEntities,
       SkipGram.SgConfig(dim = 16, epochs = 3, seed = 5))
     // compare mean same-topic vs cross-topic cosine over frequent entities
     val freq = flat.groupBy("entity_id").count().filter(col("count") >= 5)

@@ -91,6 +91,28 @@ class EntityGraphSpec extends SparkSpec {
     assert(res.passed, res.status)
   }
 
+  test("the CSR is bit-identical for a permuted edge list with duplicates") {
+    // neighbour order within a CSR row drives sampleNeighbors, and through it ALPC's z
+    val graphs = for {
+      n <- Gen.choose(1, 12)
+      edges <- Gen.listOf(Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1), Gen.choose(0, 2),
+        Gen.choose(0, 4).map(_ * 0.25))).map(_.take(30))
+      reversed <- Gen.someOf(edges).map(_.toList.map { case (u, v, t, s) => (v, u, t, s) })
+      repeated <- Gen.someOf(edges)
+      order <- Gen.long
+    } yield (n, edges, new Random(order).shuffle(edges ++ reversed ++ repeated))
+    def bits(g: EntityGraph) =
+      (g.offsets.toSeq, g.neighbors.toSeq, g.relTypes.toSeq, g.scores.toSeq.map(java.lang.Double.doubleToRawLongBits))
+    val prop = Prop.forAllNoShrink(graphs) { case (n, edges, shuffled) =>
+      val scored = bits(EntityGraph.fromScoredEdges(edges, n + 2)) == bits(EntityGraph.fromScoredEdges(shuffled, n + 2))
+      val unscored = bits(EntityGraph.fromEdges(edges.map(e => (e._1, e._2, e._3)), n + 2)) ==
+        bits(EntityGraph.fromEdges(shuffled.map(e => (e._1, e._2, e._3)), n + 2))
+      Prop(scored && unscored) :| s"edges $edges, shuffled $shuffled"
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(20230419L), prop)
+    assert(res.passed, res.status)
+  }
+
   test("sampling distribution is roughly uniform over neighbors") {
     val rng = new Random(3)
     val counts = scala.collection.mutable.Map[Int, Int]().withDefaultValue(0)

@@ -138,6 +138,38 @@ class TargetingSpec extends SparkSpec {
     assert(top.head == 0, "heaviest type-hitter should rank first")
   }
 
+  test("rule-based ties on hits and rate go to the lower user id, for any row layout") {
+    import spark.implicits._
+    val typed = world.entities.find(_.etype == 0).get.id
+    val other = world.entities.find(_.etype != 0).get.id
+    // user 5 leads with 3 typed hits of 4; users 3, 8, 12, 17 tie at 2 of 4; the rest tie at 0
+    val flat = (0 until 20).flatMap { u =>
+      val hits = if (u == 5) 3 else if (Set(3, 8, 12, 17)(u)) 2 else 0
+      (0 until 4).map(r => (u, r, if (r < hits) typed else other))
+    }.toDF("user_id", "rank", "entity_id")
+    for ((layout, name) <- Seq(flat -> "as built", flat.repartition(7) -> "7 partitions",
+                               flat.orderBy(rand(11)) -> "random order")) {
+      val top = Targeting.ruleBasedTarget(spark, world, layout, serviceType = 0, topKUsers = 7)
+      assert(top.toSeq == Seq(5, 3, 8, 12, 17, 0, 1), name)
+    }
+  }
+
+  test("a user with no sequence rows, or only unembedded entities, is never exported") {
+    import spark.implicits._
+    // entity ids from 60 up have no embedding row; users 0 and 1 have no sequence rows
+    val rng = new scala.util.Random(5)
+    val flat = (2 until 30).flatMap { u =>
+      if (u % 5 == 0) Seq((u, 0, 60 + u), (u, 1, 99))
+      else (0 until 4).map(r => (u, r, rng.nextInt(60)))
+    }.toDF("user_id", "rank", "entity_id")
+    val users = UserPreference.userEmbeddings(flat, entityEmb)
+    val embedded = (2 until 30).filter(_ % 5 != 0)
+    assert(users.collect().map(_.getInt(0)).toSeq == embedded)
+    val seed = world.entities.find(_.topic == 1).get
+    val res = Targeting.target(spark, world, store, users, entityEmb, Seq(seed.name), k = 2, topKUsers = 100)
+    assert(res.targetUsers.map(_._1).sorted.toSeq == embedded)
+  }
+
   test("k = 0 targets by the seeds alone, end to end") {
     val seeds = world.entities.filter(_.topic == 2).sortBy(_.id).take(2)
     val res = Targeting.target(spark, world, store, userEmb, entityEmb, seeds.map(_.name).toSeq, k = 0, topKUsers = 7)

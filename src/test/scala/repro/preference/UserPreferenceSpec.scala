@@ -1,6 +1,7 @@
 package repro.preference
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ArrayType, DoubleType, IntegerType}
 import repro.{Oracle, SparkSpec}
 import scala.util.Random
 
@@ -43,6 +44,20 @@ class UserPreferenceSpec extends SparkSpec {
       """SELECT s.user_id, avg(CAST(e.e0 AS DOUBLE)) AS d0, avg(CAST(e.e1 AS DOUBLE)) AS d1
         |FROM s JOIN e ON s.entity_id = e.entity_id GROUP BY s.user_id""".stripMargin,
       "s" -> flatSeq, "e" -> embDf)
+  }
+
+  test("unembedded entities are skipped; a user with none embedded gets no row; no input gives no rows") {
+    import spark.implicits._
+    // user 2 mixes entity 1 with the unembedded 9; user 3 sees only unembedded entities
+    val flat = Seq((3, 0, 7), (2, 0, 9), (0, 1, 2), (2, 1, 1), (3, 1, 9), (0, 0, 0))
+      .toDF("user_id", "rank", "entity_id")
+    val embDf = UserPreference.embeddingsDf(spark, emb)
+    val ue = UserPreference.userEmbeddings(flat, embDf)
+    assert(ue.collect().map(r => r.getInt(0) -> r.getSeq[Double](1)).toSeq == Seq(0 -> Seq(1.0, 0.5), 2 -> Seq(0.0, 1.0)))
+    val empty = UserPreference.userEmbeddings(flat.limit(0), embDf)
+    assert(empty.collect().isEmpty)
+    assert(empty.schema.map(f => (f.name, f.dataType)) ==
+      Seq("user_id" -> IntegerType, "vec" -> ArrayType(DoubleType, containsNull = false)))
   }
 
   test("preference score is the dot product r_u · h_e (eq. 7)") {

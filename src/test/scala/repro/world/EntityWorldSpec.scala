@@ -64,13 +64,6 @@ class EntityWorldSpec extends SparkSpec {
     assert(t0.sliding(2).forall(w => w.head.popularity >= w.last.popularity))
   }
 
-  test("entityDictDf exposes the dict relationally") {
-    val df = world.entityDictDf(spark)
-    assert(df.count() == 200)
-    assert(df.columns.toSet == Set("entity_id", "name", "entity_type"))
-    assert(df.select("entity_id").distinct().count() == 200)
-  }
-
   test("idOf inverts names") {
     world.entities.take(10).foreach(e => assert(world.idOf(e.name).contains(e.id)))
     assert(world.idOf("nope").isEmpty)
