@@ -62,7 +62,7 @@ object Trmp {
       seed = cfg.seed + 17 * week)
     val tagged = BertCrfSim.tag(spark, world, behaviors, nerCfg)
     val sequences = EntitySequenceExtractor.extract(tagged)
-    val flat = EntitySequenceExtractor.flattened(sequences).cache()
+    val flat = EntitySequenceExtractor.flattened(sequences)
     val embCo = SkipGram.train(flat, world.cfg.nEntities,
       cfg.sgCfg.copy(seed = cfg.sgCfg.seed + week))
     val embSe = SemanticEmbed.embed(world, cfg.semCfg)

@@ -1,7 +1,7 @@
 package repro.ner
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
 import repro.world.EntityWorld
 
 /** Stand-in for the paper's pre-trained BertCRF entity tagger.
@@ -16,43 +16,51 @@ import repro.world.EntityWorld
   * Noise is deterministic in (seed, user, day, session, position) so the
   * whole pipeline is reproducible.
   *
-  * Runs distributed: the dict is broadcast and tagging happens in a UDF over
-  * the behavior DataFrame.
+  * Runs on the driver: the behaviors are collected (a local relation, as
+  * `BehaviorGen.generate` builds, collects without a Spark job), tagged
+  * against the dict, and returned as a local relation. The tests check it
+  * against the broadcast-UDF form of the same tagger.
   */
 object BertCrfSim {
 
   final case class NerConfig(pDrop: Double = 0.05, pConfuse: Double = 0.03, seed: Long = 17L)
 
-  /** Input: (user_id, day, session, text); output: (user_id, day, session, pos, entity_id). */
+  /** The schema of `tag`'s rows, the one the broadcast-UDF tagger's
+    * `explode` of (pos, entity_id) structs gives.
+    */
+  private val Schema = StructType(Seq(
+    StructField("user_id", IntegerType, nullable = false),
+    StructField("day", IntegerType, nullable = false),
+    StructField("session", IntegerType, nullable = false),
+    StructField("pos", IntegerType, nullable = true),
+    StructField("entity_id", IntegerType, nullable = true)))
+
+  /** Input: (user_id, day, session, text); output: (user_id, day, session, pos,
+    * entity_id), in input row order and then by token position. A behavior
+    * with null text tags nothing.
+    */
   def tag(spark: SparkSession, world: EntityWorld, behaviors: DataFrame,
           cfg: NerConfig = NerConfig()): DataFrame = {
     val dict: Map[String, Int] = world.entities.map(e => e.name -> e.id).toMap
     val nEntities = world.cfg.nEntities
-    val bDict = spark.sparkContext.broadcast(dict)
-    val pDrop = cfg.pDrop; val pConfuse = cfg.pConfuse; val seed = cfg.seed
-
-    val tagUdf = udf { (user: Int, day: Int, session: Int, text: String) =>
-      val d = bDict.value
-      val out = scala.collection.mutable.ArrayBuffer[(Int, Int)]()
-      var pos = 0
-      text.split(' ').foreach { tok =>
-        d.get(tok).foreach { id =>
-          val r = new scala.util.Random(seed ^ (user * 1_000_003L + day * 10_007L + session * 101L + pos))
-          val roll = r.nextDouble()
-          if (roll >= pDrop) {
-            val id2 = if (roll < pDrop + pConfuse) r.nextInt(nEntities) else id
-            out += ((pos, id2))
+    val out = new java.util.ArrayList[Row]()
+    behaviors.select("user_id", "day", "session", "text").collect().foreach { r =>
+      val (user, day, session, text) = (r.getInt(0), r.getInt(1), r.getInt(2), r.getString(3))
+      if (text != null) {
+        var pos = 0
+        text.split(' ').foreach { tok =>
+          dict.get(tok).foreach { id =>
+            val rnd = new scala.util.Random(cfg.seed ^ (user * 1_000_003L + day * 10_007L + session * 101L + pos))
+            val roll = rnd.nextDouble()
+            if (roll >= cfg.pDrop) {
+              val id2 = if (roll < cfg.pDrop + cfg.pConfuse) rnd.nextInt(nEntities) else id
+              out.add(Row(user, day, session, pos, id2))
+            }
           }
+          pos += 1
         }
-        pos += 1
       }
-      out.toSeq
     }
-
-    behaviors
-      .withColumn("tags", tagUdf(col("user_id"), col("day"), col("session"), col("text")))
-      .select(col("user_id"), col("day"), col("session"), explode(col("tags")).as("tag"))
-      .select(col("user_id"), col("day"), col("session"),
-              col("tag._1").as("pos"), col("tag._2").as("entity_id"))
+    spark.createDataFrame(out, Schema)
   }
 }

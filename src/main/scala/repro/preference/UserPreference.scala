@@ -43,17 +43,32 @@ object UserPreference {
     * contract `.cache()` has: later calls serve the first decode even if the
     * data under the frame has changed. A derived frame (`filter`,
     * `repartition`, …) is a new instance and is decoded afresh.
+    *
+    * Frames built by `embeddingsDf` and `userEmbeddings` come pre-decoded:
+    * those calls register the matrix they built (of copied arrays), so
+    * `resident` on them, or on the instance `.cache()` returns, collects
+    * nothing.
     */
   def resident(frame: DataFrame): EmbeddingMatrix = decoded.computeIfAbsent(frame, decode _)
 
   private def decode(frame: DataFrame): EmbeddingMatrix = {
     val rows = frame.collect().map(r => (r.getInt(0), r.getSeq[Double](1).toArray)).sortBy(_._1)
-    val ids = rows.map(_._1)
+    matrix(rows.map(_._1), rows.map(_._2))
+  }
+
+  /** A matrix of rows sorted by id; rejects repeated ids and mixed widths. */
+  private def matrix(ids: Array[Int], vectors: Array[Array[Double]]): EmbeddingMatrix = {
     val dupes = ids.groupBy(identity).collect { case (id, xs) if xs.length > 1 => id }
     require(dupes.isEmpty, s"embedding frame repeats ids ${dupes.toSeq.sorted.mkString(",")}")
-    val dim = rows.headOption.fold(0)(_._2.length)
-    require(rows.forall(_._2.length == dim), s"embedding frame mixes vector widths")
-    new EmbeddingMatrix(ids, rows.map(_._2), dim)
+    val dim = vectors.headOption.fold(0)(_.length)
+    require(vectors.forall(_.length == dim), s"embedding frame mixes vector widths")
+    new EmbeddingMatrix(ids, vectors, dim)
+  }
+
+  /** `frame` with `m` as its decode: `resident(frame)` serves `m`. */
+  private def preDecoded(frame: DataFrame, m: EmbeddingMatrix): DataFrame = {
+    decoded.put(frame, m)
+    frame
   }
 
   /** Users by preference, best first: highest mean of r_u · h_e over
@@ -142,10 +157,14 @@ object UserPreference {
     }
   }
 
-  /** Entity embeddings as a DataFrame (entity_id, vec array<double>). */
+  /** Entity embeddings as a DataFrame (entity_id, vec array<double>), row i
+    * holding `emb(i)`, pre-decoded for `resident` from a copy of `emb`. The
+    * rows must all have one width.
+    */
   def embeddingsDf(spark: SparkSession, emb: Array[Array[Double]]): DataFrame = {
     import spark.implicits._
-    emb.zipWithIndex.toSeq.map { case (v, i) => (i, v.toSeq) }.toDF("entity_id", "vec")
+    val snapshot = matrix(Array.range(0, emb.length), emb.map(_.clone()))
+    preDecoded(emb.zipWithIndex.toSeq.map { case (v, i) => (i, v.toSeq) }.toDF("entity_id", "vec"), snapshot)
   }
 
   private val UserSchema = StructType(Seq(
@@ -165,23 +184,26 @@ object UserPreference {
     * an entity with no embedding row is skipped, and a user with no sequence
     * rows, or only unembedded entities, gets no row, so `Targeting.target`
     * never exports that user. An empty `flatSeq` gives an empty frame with
-    * the output schema.
+    * the output schema. The frame comes pre-decoded for `resident`.
     */
   def userEmbeddings(flatSeq: DataFrame, embeddings: DataFrame): DataFrame = {
     val entities = resident(embeddings)
     val byUser = EntitySequenceExtractor.sortedRows(flatSeq)
       .flatMap { case (user, _, e) => entities.get(e).map(user -> _) }
       .groupBy(_._1)
-    val rows = byUser.keys.toArray.sorted.map { user =>
+    val users = byUser.keys.toArray.sorted
+    val means = users.map { user =>
       val vectors = byUser(user)
       val sum = new Array[Double](entities.dim)
       vectors.foreach { case (_, v) =>
         var d = 0
         while (d < sum.length) { sum(d) += v(d); d += 1 }
       }
-      Row(user, sum.map(_ / vectors.length))
+      sum.map(_ / vectors.length)
     }
-    flatSeq.sparkSession.createDataFrame(java.util.Arrays.asList(rows: _*), UserSchema)
+    val rows = users.indices.map(i => Row(users(i), means(i)))
+    preDecoded(flatSeq.sparkSession.createDataFrame(java.util.Arrays.asList(rows: _*), UserSchema),
+      matrix(users, means))
   }
 
   /** s_<u,e> = r_u · h_e for every (user, entity in `entityIds`) pair.

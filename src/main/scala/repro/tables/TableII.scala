@@ -52,7 +52,7 @@ object TableII {
     val world = new EntityWorld(World)
     val logs = BehaviorGen.generate(spark, world, LogCfg)
     val tagged = BertCrfSim.tag(spark, world, logs)
-    val flat = EntitySequenceExtractor.flattened(EntitySequenceExtractor.extract(tagged)).cache()
+    val flat = EntitySequenceExtractor.flattened(EntitySequenceExtractor.extract(tagged))
     val embCo = SkipGram.train(flat, World.nEntities, SgCfg)
     val embSe = repro.embed.SemanticEmbed.embed(world)
     val master = CandidateGeneration.candidateGraph(spark, embCo, embSe, CandCfg)

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkJobs, SparkSpec}
 import repro.eval.Annotators
 import repro.world.{EntityWorld, WorldConfig}
 import repro.candidate.CandidateGeneration
@@ -108,5 +108,14 @@ class TrmpSpec extends SparkSpec {
       assert(wr.data.featCo.map(bits(_)).toSeq == ref.data.featCo.map(bits(_)).toSeq, s"$parts partitions: E^Co")
       assert(bits(wr.alpc.z.data) == bits(ref.alpc.z.data), s"$parts partitions: ALPC z")
     }
+  }
+
+  test("stage I from logs to SGNS pairs submits no Spark job") {
+    val (pairs, jobs) = SparkJobs.count(spark) {
+      val (flat, _, _, _) = Trmp.candidateStage(spark, world, cfg, 0)
+      SkipGram.pairArray(flat, cfg.sgCfg.window)
+    }
+    assert(pairs.nonEmpty)
+    assert(jobs == 0, s"$jobs Spark jobs")
   }
 }

@@ -1,5 +1,6 @@
 package repro.ner
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.world.{BehaviorGen, EntityWorld, WorldConfig}
@@ -91,5 +92,55 @@ class NerSpec extends SparkSpec {
     val kept = flat.join(tagged.select("user_id").distinct(), Seq("user_id")).count()
     val inWindow = tagged.filter(col("day") > 100 - 30).count()
     assert(kept == inWindow, s"kept=$kept expected=$inWindow")
+  }
+
+  /** Asserts equal schemas and equal rows, compared after sorting. */
+  private def sameRows(driver: DataFrame, oracle: DataFrame, what: String): Unit = {
+    assert(driver.schema == oracle.schema, s"$what schema")
+    def rows(df: DataFrame) = df.collect().map(_.toSeq).sortBy(_.toString).toSeq
+    assert(rows(driver) == rows(oracle), s"$what rows")
+  }
+
+  /** Driver stage I = the Spark form at each step (tags, sequences, flattened view). */
+  private def assertStageIMatchesSpark(log: DataFrame, cfg: BertCrfSim.NerConfig): Unit = {
+    val tagged = BertCrfSim.tag(spark, world, log, cfg)
+    val oracleTagged = SparkNer.tag(spark, world, log, cfg)
+    sameRows(tagged, oracleTagged, "tags")
+    val seqs = EntitySequenceExtractor.extract(tagged)
+    val oracleSeqs = SparkNer.extract(oracleTagged)
+    sameRows(seqs, oracleSeqs, "sequences")
+    sameRows(EntitySequenceExtractor.flattened(seqs), SparkNer.flattened(oracleSeqs), "flattened")
+  }
+
+  test("driver stage I = the Spark form on a noisy tagger, tags in (row, pos) order") {
+    val cfg = BertCrfSim.NerConfig(pDrop = 0.3, pConfuse = 0.25)
+    assertStageIMatchesSpark(logs, cfg)
+    val tags = BertCrfSim.tag(spark, world, logs, cfg).collect().map(_.toSeq).toSeq
+    assert(tags == SparkNer.tag(spark, world, logs, cfg).collect().map(_.toSeq).toSeq)
+  }
+
+  test("driver stage I = the Spark form on a day-shifted log (window drops early days)") {
+    assertStageIMatchesSpark(logs.withColumn("day", when(col("day") === 0, 100).otherwise(col("day"))),
+      BertCrfSim.NerConfig(pDrop = 0.1, pConfuse = 0.1))
+  }
+
+  test("driver stage I = the Spark form on a log with no dict token") {
+    assertStageIMatchesSpark(logs.withColumn("text", lit("nothing to see here")), BertCrfSim.NerConfig())
+  }
+
+  test("a behavior with null text tags nothing") {
+    val noiseFree = BertCrfSim.NerConfig(pDrop = 0.0, pConfuse = 0.0)
+    val withNull = logs.withColumn("text", when(col("user_id") === 0, lit(null).cast("string")).otherwise(col("text")))
+    val tagged = BertCrfSim.tag(spark, world, withNull, noiseFree)
+    val want = BertCrfSim.tag(spark, world, logs, noiseFree).filter(col("user_id") =!= 0)
+    assert(tagged.collect().toSeq == want.collect().toSeq)
+  }
+
+  test("extract with a non-positive window fails naming the value") {
+    val tagged = BertCrfSim.tag(spark, world, logs)
+    for (w <- Seq(0, -3)) {
+      val e = intercept[IllegalArgumentException](EntitySequenceExtractor.extract(tagged, windowDays = w))
+      assert(e.getMessage.contains(s"windowDays = $w"), e.getMessage)
+    }
   }
 }

@@ -1,7 +1,7 @@
 package repro.online
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{SparkJobs, SparkSpec}
 import repro.preference.UserPreference
 import repro.storage.GraphStore
 import repro.world.{EntityWorld, WorldConfig}
@@ -179,5 +179,25 @@ class TargetingSpec extends SparkSpec {
     val entities = UserPreference.resident(entityEmb)
     val want = UserPreference.topUsers(UserPreference.resident(userEmb), res.selectedEntities.map(entities(_)), 7)
     assert(res.targetUsers.toSeq == want.toSeq && res.targetUsers.length == 7)
+  }
+
+  test("the first request on frames fresh from embeddingsDf and userEmbeddings submits no Spark job") {
+    import spark.implicits._
+    val rng = new scala.util.Random(6)
+    val flat = (0 until 30).flatMap(u => (0 until 5).map(r => (u, r, rng.nextInt(60))))
+      .toDF("user_id", "rank", "entity_id")
+    // cached, as a serving layer keeps them: a collect decode would then run the caching job
+    val entities = UserPreference.embeddingsDf(spark, world.entities.map(_.latent)).cache()
+    val users = UserPreference.userEmbeddings(flat, entities).cache()
+    val seed = world.entities.find(_.topic == 3).get
+    store.expand(Seq(seed.id), 1) // the store's write leaves its graph resident
+    val (res, jobs) = SparkJobs.count(spark) {
+      Targeting.target(spark, world, store, users, entities, Seq(seed.name), k = 2, topKUsers = 10)
+    }
+    assert(jobs == 0, s"$jobs Spark jobs")
+    val decoded = Targeting.target(spark, world, store, users.select("*"), entities.select("*"),
+      Seq(seed.name), k = 2, topKUsers = 10)
+    assert(res.targetUsers.toSeq == decoded.targetUsers.toSeq && res.targetUsers.length == 10)
+    users.unpersist(); entities.unpersist()
   }
 }

@@ -2,7 +2,7 @@ package repro.preference
 
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{ArrayType, DoubleType, IntegerType}
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkJobs, SparkSpec}
 import scala.util.Random
 
 class UserPreferenceSpec extends SparkSpec {
@@ -89,6 +89,34 @@ class UserPreferenceSpec extends SparkSpec {
     assert(derived.ids.toSeq == Seq(0, 1, 3) && derived.get(2).isEmpty)
     val dupes = intercept[IllegalArgumentException](UserPreference.resident(embDf.union(embDf)))
     assert(dupes.getMessage.contains("0,1,2,3"), dupes.getMessage)
+  }
+
+  test("embeddingsDf and userEmbeddings frames come pre-decoded, bit-equal to a collect decode") {
+    import spark.implicits._
+    val rng = new Random(13)
+    val embDf = UserPreference.embeddingsDf(spark, randomMatrix(rng, 30, 9))
+    val flat = (0 until 20).flatMap(u => (0 until 1 + rng.nextInt(8)).map(r => (u, r, rng.nextInt(30))))
+      .toDF("user_id", "rank", "entity_id")
+    val ue = UserPreference.userEmbeddings(flat, embDf)
+    def bits(m: UserPreference.EmbeddingMatrix) =
+      (m.ids.toSeq, m.dim, m.vectors.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toSeq)
+    for ((df, name) <- Seq(embDf -> "embeddingsDf", ue -> "userEmbeddings")) {
+      // `.cache()` returns the same instance; decoding it by collect would run the caching job
+      val (pre, jobs) = SparkJobs.count(spark)(UserPreference.resident(df.cache()))
+      assert(jobs == 0, s"$name: $jobs Spark jobs")
+      assert(bits(pre) == bits(UserPreference.resident(df.select("*"))), name)
+      df.unpersist()
+    }
+  }
+
+  test("an embeddingsDf frame is a snapshot: mutating the input array changes neither its rows nor resident") {
+    val input = Array(Array(1.0, 2.0), Array(3.0, 4.0))
+    val df = UserPreference.embeddingsDf(spark, input)
+    input(0)(0) = 99.0
+    input(1) = Array(7.0, 7.0)
+    val want = Seq(Seq(1.0, 2.0), Seq(3.0, 4.0))
+    assert(UserPreference.resident(df).vectors.map(_.toSeq).toSeq == want)
+    assert(df.collect().map(_.getSeq[Double](1)).toSeq == want)
   }
 
   private def randomMatrix(rng: Random, n: Int, dim: Int): Array[Array[Double]] =
